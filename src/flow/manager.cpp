@@ -1,7 +1,11 @@
 #include "flow/manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
 
 #include "trace/profiler.hpp"
 #include "trace/timeline.hpp"
@@ -15,20 +19,39 @@ namespace {
 /// residue that small at multi-GB/s rates yields a completion horizon far
 /// below the clock's representable resolution (the wake-up would not
 /// advance time at all -- an infinite loop).
-double completion_tolerance(const FlowState& st) {
-  return 1e-6 + 1e-9 * st.spec.volume;
+double completion_tolerance(double volume) { return 1e-6 + 1e-9 * volume; }
+
+/// Time to completion at `rate`: 0 for finished and unlimited flows (they
+/// complete at the next wake-up), infinite for starved flows (they wait for
+/// capacity to free up).
+double time_to_completion(double remaining, double rate, double tolerance) {
+  if (remaining <= tolerance || rate == kUnlimited) return 0.0;
+  if (rate <= 0.0) return kUnlimited;
+  return remaining / rate;
+}
+
+bool bitwise_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 }  // namespace
 
 FlowId FlowManager::start(FlowSpec spec, CompletionHandler on_complete) {
   settle();
   const FlowId id = net_.add_flow(std::move(spec));
-  handlers_.emplace(id, std::move(on_complete));
+  const FlowState& st = net_.flow(id);
+  Slot slot;  // its rate and eta come from the solve below
+  slot.remaining = st.spec.volume;
+  slot.tolerance = completion_tolerance(st.spec.volume);
+  slot.path_begin = static_cast<std::uint32_t>(paths_.size());
+  slot.path_size = static_cast<std::uint32_t>(st.spec.path.size());
+  paths_.insert(paths_.end(), st.spec.path.begin(), st.spec.path.end());
+  if (slot_of_.size() <= id) slot_of_.resize(id + 1);
+  slot_of_[id] = slots_.size();
+  slots_.push_back(slot);
+  owners_.push_back(Owner{id, engine_.now(), std::move(on_complete)});
   if (timeline_ != nullptr) {
-    const FlowState& st = net_.flow(id);
     timeline_->flow_begin(id, engine_.now(), st.spec.label, st.spec.volume);
   }
-  if (transfer_hist_ != nullptr) flow_started_.emplace(id, engine_.now());
   reschedule();
   return id;
 }
@@ -40,14 +63,88 @@ std::optional<double> FlowManager::cancel(FlowId id) {
   // Settle first so the bytes moved between the last event and now land in
   // the per-resource ledger (and in this flow's progress) before removal.
   settle();
-  const FlowState& st = net_.flow(id);
-  const double moved = std::max(0.0, st.spec.volume - st.remaining);
+  const std::size_t i = slot_of_[id];
+  const double moved = std::max(0.0, net_.flow(id).spec.volume - slots_[i].remaining);
   net_.remove_flow(id);
-  handlers_.erase(id);
+  retire(i);
   if (timeline_ != nullptr) timeline_->flow_end(id, engine_.now(), false);
-  flow_started_.erase(id);
+  compact_if_sparse();
   reschedule();
   return moved;
+}
+
+void FlowManager::retire(std::size_t i) {
+  slots_[i] = Slot{};
+  owners_[i] = Owner{};
+  ++tombstones_;
+}
+
+void FlowManager::compact_if_sparse() {
+  if (2 * tombstones_ <= slots_.size()) return;
+  // Moves only ever go towards the front, so the in-place copies of records
+  // and of their paths never overwrite anything still to be read.
+  std::size_t kept = 0;
+  std::uint32_t path_end = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (owners_[i].id == kRetired) continue;
+    Slot& slot = slots_[kept];
+    slot = slots_[i];
+    std::copy_n(paths_.begin() + slot.path_begin, slot.path_size,
+                paths_.begin() + path_end);
+    slot.path_begin = path_end;
+    path_end += slot.path_size;
+    if (kept != i) owners_[kept] = std::move(owners_[i]);
+    slot_of_[owners_[kept].id] = kept;
+    ++kept;
+  }
+  slots_.resize(kept);
+  owners_.resize(kept);
+  paths_.resize(path_end);
+  tombstones_ = 0;
+}
+
+void FlowManager::check_invariants() const {
+  net_.check_invariants();
+  const std::vector<FlowId> order = net_.flow_ids();
+  std::size_t live = 0;
+  double horizon = kUnlimited;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    const FlowId id = owners_[i].id;
+    horizon = std::min(horizon, slot.eta);
+    const auto what = [id](const char* violation) {
+      return "flow " + std::to_string(id) + ": " + violation;
+    };
+    if (id == kRetired) {
+      BBSIM_ASSERT(bitwise_equal(slot.rate, 0.0) && bitwise_equal(slot.remaining, 0.0) &&
+                       slot.eta == kUnlimited && slot.path_size == 0,
+                   "flow record " + std::to_string(i) + ": tombstone is not inert");
+      continue;
+    }
+    BBSIM_ASSERT(live < order.size() && order[live] == id,
+                 what("record out of the network's creation order"));
+    ++live;
+    BBSIM_ASSERT(slot_of_[id] == i, what("id maps to another record"));
+    const FlowState& st = net_.flow(id);
+    BBSIM_ASSERT(std::equal(st.spec.path.begin(), st.spec.path.end(),
+                            paths_.begin() + slot.path_begin,
+                            paths_.begin() + slot.path_begin + slot.path_size),
+                 what("cached path differs"));
+    BBSIM_ASSERT(bitwise_equal(slot.tolerance, completion_tolerance(st.spec.volume)),
+                 what("cached completion tolerance differs"));
+    BBSIM_ASSERT(bitwise_equal(slot.rate, st.rate),
+                 what("cached rate differs from the last solve"));
+    BBSIM_ASSERT(
+        bitwise_equal(slot.eta, time_to_completion(slot.remaining, st.rate, slot.tolerance)),
+        what("cached time to completion is stale"));
+  }
+  BBSIM_ASSERT(live == order.size(), "the network has flows without a record");
+  BBSIM_ASSERT(2 * tombstones_ <= slots_.size() && owners_.size() == slots_.size(),
+               "tombstones outnumber live records");
+  BBSIM_ASSERT(wake_scheduled_ == (horizon != kUnlimited),
+               "a wake-up is pending with no finite completion time, or missing");
+  BBSIM_ASSERT(!wake_scheduled_ || bitwise_equal(horizon_, horizon),
+               "the pending wake-up is not at the earliest completion time");
 }
 
 void FlowManager::set_capacity(ResourceId id, double capacity) {
@@ -62,7 +159,6 @@ void FlowManager::set_metrics(stats::MetricsRegistry* metrics) {
   net_.set_metrics(metrics);
   transfer_hist_ =
       metrics != nullptr ? &metrics->histogram("flow.transfer_seconds") : nullptr;
-  if (transfer_hist_ == nullptr) flow_started_.clear();
   for (BandwidthGroup& g : bandwidth_groups_) {
     g.series = metrics != nullptr
                    ? &metrics->series("storage." + g.name + ".achieved_bandwidth")
@@ -83,6 +179,7 @@ void FlowManager::set_timeline(trace::TimelineRecorder* timeline) {
 
 void FlowManager::set_profiler(trace::Profiler* profiler) {
   solve_profile_ = profiler != nullptr ? profiler->section("flow.solve") : nullptr;
+  settle_profile_ = profiler != nullptr ? profiler->section("flow.settle") : nullptr;
 }
 
 void FlowManager::register_bandwidth_group(const std::string& name,
@@ -106,6 +203,7 @@ void FlowManager::settle() {
   const double dt = now - last_settle_;
   last_settle_ = now;
   if (dt <= 0.0) return;
+  const trace::ScopedTimer timer(settle_profile_);
 
   // Per-resource accounting: accumulate bytes and busy time while flows ran.
   // The scratch vectors persist across settles (entries outside touched_
@@ -117,25 +215,27 @@ void FlowManager::settle() {
   }
   touched_.clear();
 
-  net_.for_each_flow([&](FlowId id, const FlowState& st) {
-    const double rate = (st.rate == kUnlimited) ? 0.0 : st.rate;
-    const double moved = std::min(st.remaining, rate * dt);
+  for (Slot& slot : slots_) {
+    const double rate = (slot.rate == kUnlimited) ? 0.0 : slot.rate;
+    const double moved = std::min(slot.remaining, rate * dt);
+    const std::span<const ResourceId> path(paths_.data() + slot.path_begin, slot.path_size);
     // res_busy_ doubles as the touched-marker: every branch that writes a
     // resource sets it, and settle() resets it with res_bytes_ below.
     if (moved > 0.0) {
-      for (const ResourceId r : st.spec.path) {
+      for (const ResourceId r : path) {
         if (res_busy_[r] == 0) touched_.push_back(r);
         res_bytes_[r] += moved;
         res_busy_[r] = 1;
       }
-      net_.consume(id, moved);
-    } else if (rate > 0.0 || st.rate == kUnlimited) {
-      for (const ResourceId r : st.spec.path) {
+      slot.remaining = std::max(0.0, slot.remaining - moved);
+      slot.eta = time_to_completion(slot.remaining, slot.rate, slot.tolerance);
+    } else if (rate > 0.0 || slot.rate == kUnlimited) {
+      for (const ResourceId r : path) {
         if (res_busy_[r] == 0) touched_.push_back(r);
         res_busy_[r] = 1;
       }
     }
-  });
+  }
   for (const ResourceId r : touched_) {
     net_.resource(r).bytes_served += res_bytes_[r];
     if (res_busy_[r] != 0) net_.resource(r).busy_time += dt;
@@ -188,6 +288,13 @@ void FlowManager::reschedule() {
     const trace::ScopedTimer timer(solve_profile_);
     net_.solve();
   }
+  // Only the re-solved flows can have a new rate; every other record's
+  // rate and eta are still exact.
+  net_.for_each_resolved([this](FlowId id, const FlowState& st) {
+    Slot& slot = slots_[slot_of_[id]];
+    slot.rate = st.rate;
+    slot.eta = time_to_completion(slot.remaining, st.rate, slot.tolerance);
+  });
   if (timeline_ != nullptr) {
     // Publish each flow's freshly allocated rate as a change point of its
     // span (flow_rate dedups unchanged rates, so a stable allocation
@@ -198,20 +305,19 @@ void FlowManager::reschedule() {
     });
   }
 
-  // Earliest completion among active flows.
-  double horizon = kUnlimited;
-  net_.for_each_flow([&horizon](FlowId, const FlowState& st) {
-    double eta;
-    if (st.remaining <= completion_tolerance(st) || st.rate == kUnlimited) {
-      eta = 0.0;
-    } else if (st.rate <= 0.0) {
-      return;  // starved flow: waits for capacity to free up
-    } else {
-      eta = st.remaining / st.rate;
-    }
-    horizon = std::min(horizon, eta);
-  });
+  // Earliest completion among active flows (starved flows and tombstones
+  // have an infinite eta). min is exact and etas are never NaN or -0, so
+  // four interleaved minima give the same value as one chain, without its
+  // dependency on the previous comparison.
+  double lane[4] = {kUnlimited, kUnlimited, kUnlimited, kUnlimited};
+  std::size_t i = 0;
+  for (; i + 4 <= slots_.size(); i += 4) {
+    for (std::size_t k = 0; k < 4; ++k) lane[k] = std::min(lane[k], slots_[i + k].eta);
+  }
+  for (; i < slots_.size(); ++i) lane[0] = std::min(lane[0], slots_[i].eta);
+  double horizon = std::min(std::min(lane[0], lane[1]), std::min(lane[2], lane[3]));
   if (horizon == kUnlimited) return;  // everything starved (all-zero capacity)
+  horizon_ = horizon;
   // Clamp sub-resolution horizons: if now + horizon does not advance the
   // clock, fire now and let the completion tolerance finish those flows.
   // The exact == probes ulp behaviour on purpose; an epsilon would defeat it.
@@ -227,34 +333,27 @@ void FlowManager::on_wake() {
 
   // Collect finished flows first, then remove, then invoke callbacks: a
   // callback may start new flows or abort others, so the network must be in
-  // a consistent state before user code runs.
+  // a consistent state before user code runs. A flow is finished when its
+  // residual cannot advance the clock: finished and unlimited flows have
+  // eta 0, and a residual too small to move the clock is an ulp no-op
+  // (exact == is the point); starved flows and tombstones never are.
+  const sim::Time now = engine_.now();
   done_.clear();
-  net_.for_each_flow([this](FlowId id, const FlowState& st) {
-    const bool finished =
-        st.remaining <= completion_tolerance(st) || st.rate == kUnlimited ||
-        // Residual too small to ever advance the clock again (exact == is
-        // the point: it asks whether the addition is an ulp no-op).
-        (st.rate > 0.0 &&
-         engine_.now() + st.remaining / st.rate == engine_.now());  // NOLINT(bbsim-float-equality)
-    if (finished) done_.push_back(id);
-  });
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (now + slots_[i].eta == now) done_.push_back(i);  // NOLINT(bbsim-float-equality)
+  }
 
   std::vector<CompletionHandler> callbacks;
   callbacks.reserve(done_.size());
-  for (const FlowId id : done_) {
-    net_.remove_flow(id);
-    auto it = handlers_.find(id);
-    callbacks.push_back(std::move(it->second));
-    handlers_.erase(it);
-    if (timeline_ != nullptr) timeline_->flow_end(id, engine_.now(), true);
-    if (transfer_hist_ != nullptr) {
-      const auto started = flow_started_.find(id);
-      if (started != flow_started_.end()) {
-        transfer_hist_->record(engine_.now() - started->second);
-        flow_started_.erase(started);
-      }
-    }
+  for (const std::size_t i : done_) {
+    Owner& owner = owners_[i];
+    net_.remove_flow(owner.id);
+    callbacks.push_back(std::move(owner.on_complete));
+    if (timeline_ != nullptr) timeline_->flow_end(owner.id, now, true);
+    if (transfer_hist_ != nullptr) transfer_hist_->record(now - owner.started);
+    retire(i);
   }
+  compact_if_sparse();
 
   reschedule();
 

@@ -5,12 +5,24 @@
 // flow's completion callback at the exact simulated time its byte count
 // reaches zero. It also integrates per-resource accounting (bytes served,
 // busy time) used for the achieved-bandwidth experiment (paper Figure 9).
+//
+// Cost per event. The manager owns one record per active flow in a
+// creation-ordered vector: its remaining bytes, the rate of the last solve
+// and a cached time-to-completion. Each event makes one contiguous pass
+// over those records to settle progress and the per-resource ledger, plus
+// a min over the cached completion times for the next wake-up (and a
+// wake-up scans the same cache for finished flows) -- O(active flows) of
+// flat arithmetic, no hashing, no list walks, no sorts. Only the flows the
+// incremental solve re-solved (Network::for_each_resolved) get a new rate
+// and completion time: O(closure). Removed records are tombstones until
+// they outnumber the live ones; then the vector is compacted in order.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flow/network.hpp"
@@ -67,8 +79,12 @@ class FlowManager {
   /// Number of in-flight flows.
   std::size_t active_count() const { return net_.flow_count(); }
 
-  /// Re-runs the solver invariant checks (test hook).
-  void check_invariants() const { net_.check_invariants(); }
+  /// Test hook: re-runs the solver invariant checks, then verifies the
+  /// manager's cache against the network -- records in the network's
+  /// creation order, each live record's rate and completion time bitwise
+  /// equal to a fresh computation, and the pending wake-up at the minimum
+  /// completion time. Throws InvariantError on the first violation.
+  void check_invariants() const;
 
   /// Publish flow metrics: forwards to the network (solver counters) and
   /// samples per-resource utilization (`flow.util.<resource>`) at every
@@ -84,8 +100,9 @@ class FlowManager {
   void set_timeline(trace::TimelineRecorder* timeline);
   bool has_timeline() const { return timeline_ != nullptr; }
 
-  /// Aggregate wall-clock solver cost ("flow.solve") into `profiler`;
-  /// nullptr disables (the default).
+  /// Aggregate wall-clock cost into `profiler`: the max-min solve
+  /// ("flow.solve") and the progress/ledger pass that precedes it on every
+  /// event ("flow.settle"); nullptr disables (the default).
   void set_profiler(trace::Profiler* profiler);
 
   /// Declare a named group of resources whose combined throughput is one
@@ -98,11 +115,42 @@ class FlowManager {
                                 std::vector<ResourceId> resources);
 
  private:
+  static constexpr FlowId kRetired = static_cast<FlowId>(-1);
+
+  /// The record of one started flow lives at the same index of slots_ and
+  /// owners_, in creation order. slots_ holds what every event reads and
+  /// owners_ the rest, so the per-event passes stream 40 bytes per flow.
+  /// A retired record (completed or cancelled) is a tombstone: rate 0,
+  /// remaining 0, eta infinite and an empty path, so every pass treats it
+  /// as a starved flow and needs no liveness test.
+  struct Slot {
+    double remaining = 0.0;  ///< bytes still to transfer
+    double rate = 0.0;       ///< the last solve's allocation (bytes/s)
+    double tolerance = 0.0;  ///< finished once remaining <= tolerance
+    /// Cached time to completion from the last settle point: 0 when
+    /// finished or unlimited, infinite when starved, else remaining / rate.
+    double eta = kUnlimited;
+    std::uint32_t path_begin = 0;  ///< the flow's path is paths_[begin, +size)
+    std::uint32_t path_size = 0;
+  };
+  struct Owner {
+    FlowId id = kRetired;  ///< kRetired marks a tombstone
+    sim::Time started = 0.0;
+    CompletionHandler on_complete;
+  };
+
   sim::Engine& engine_;
   Network net_;
-  std::unordered_map<FlowId, CompletionHandler> handlers_;
+  std::vector<Slot> slots_;
+  std::vector<Owner> owners_;
+  /// Every record's path, back to back in record order, so settle() reads
+  /// paths sequentially too; compacted with the records.
+  std::vector<ResourceId> paths_;
+  std::size_t tombstones_ = 0;
+  std::vector<std::size_t> slot_of_;  ///< FlowId -> record index
   sim::EventId wake_event_ = 0;
   bool wake_scheduled_ = false;
+  double horizon_ = 0.0;  ///< the minimum eta the pending wake-up targets
   sim::Time last_settle_ = 0.0;
   /// Per-resource settle scratch, reused across calls so the per-event cost
   /// is O(active flows + touched resources), not O(all resources) plus an
@@ -114,7 +162,7 @@ class FlowManager {
   std::vector<double> res_bytes_;
   std::vector<char> res_busy_;
   std::vector<ResourceId> touched_;
-  std::vector<FlowId> done_;  ///< completion scratch for on_wake()
+  std::vector<std::size_t> done_;  ///< completion scratch for on_wake()
   stats::MetricsRegistry* metrics_ = nullptr;
   /// Cached per-resource utilization series (index = ResourceId); refreshed
   /// lazily when resources were added since the last settle.
@@ -122,10 +170,8 @@ class FlowManager {
 
   trace::TimelineRecorder* timeline_ = nullptr;
   trace::ProfileSection* solve_profile_ = nullptr;
+  trace::ProfileSection* settle_profile_ = nullptr;
   stats::Histogram* transfer_hist_ = nullptr;
-  /// Flow start times for the transfer-duration histogram; maintained only
-  /// while a metrics registry is installed.
-  std::unordered_map<FlowId, sim::Time> flow_started_;
 
   struct BandwidthGroup {
     std::string name;
@@ -136,8 +182,14 @@ class FlowManager {
   };
   std::vector<BandwidthGroup> bandwidth_groups_;
 
-  /// Apply elapsed progress since the last settle point.
+  /// Apply elapsed progress since the last settle point: one pass over the
+  /// records that moves bytes, charges the ledger and refreshes eta.
   void settle();
+  /// Turn record `i` into a tombstone, dropping its handler.
+  void retire(std::size_t i);
+  /// Drop the tombstones, keeping creation order, once they outnumber the
+  /// live records (amortised O(1) per retired flow).
+  void compact_if_sparse();
   /// Re-solve rates and (re)schedule the next completion event.
   void reschedule();
   /// Fired at the next completion instant.

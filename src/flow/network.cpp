@@ -99,7 +99,6 @@ FlowId Network::add_flow(FlowSpec spec) {
   ids_.push_back(id);
 
   FlowState st;
-  st.remaining = spec.volume;
   st.spec = std::move(spec);
 
   FlowLinks links;
@@ -186,11 +185,6 @@ void Network::remove_flow(FlowId id) {
 
 const FlowState& Network::flow(FlowId id) const { return flows_[checked_index(id)]; }
 
-void Network::consume(FlowId id, double bytes) {
-  FlowState& st = flows_[checked_index(id)];
-  st.remaining = std::max(0.0, st.remaining - bytes);
-}
-
 std::vector<FlowId> Network::flow_ids() const {
   std::vector<FlowId> out;
   out.reserve(flows_.size());
@@ -203,71 +197,52 @@ void Network::build_closure() {
   const std::size_t m = resources_.size();
 
   // Arena growth (amortised; steady state resizes nothing).
-  if (flow_mark_.size() < n) flow_mark_.resize(n, 0);
+  flow_set_.grow(n);
+  res_set_.grow(m);
   if (frozen_.size() < n) frozen_.resize(n, 0);
-  if (res_mark_.size() < m) res_mark_.resize(m, 0);
   if (frozen_load_.size() < m) frozen_load_.resize(m, 0.0);
   if (unfrozen_weight_.size() < m) unfrozen_weight_.resize(m, 0.0);
 
-  ++epoch_;
   closure_flows_.clear();
   closure_res_.clear();
 
   if (!incremental_ || !solved_once_) {
     // Full solve: every flow and resource is in scope.
-    for (std::size_t f = 0; f < n; ++f) {
-      flow_mark_[f] = epoch_;
-      closure_flows_.push_back(f);
-    }
-    for (ResourceId r = 0; r < m; ++r) {
-      res_mark_[r] = epoch_;
-      closure_res_.push_back(r);
-    }
+    for (std::size_t f = 0; f < n; ++f) closure_flows_.push_back(f);
+    for (ResourceId r = 0; r < m; ++r) closure_res_.push_back(r);
     return;
   }
 
   // Seed: resources whose member set or capacity changed, plus flows
   // dirtied directly (pathless adds never reach a resource).
-  for (const ResourceId r : dirty_res_) {
-    if (res_mark_[r] != epoch_) {
-      res_mark_[r] = epoch_;
-      closure_res_.push_back(r);
+  res_queue_.clear();
+  const auto enclose_path = [this](std::size_t f) {
+    for (const ResourceId r : flows_[f].spec.path) {
+      if (res_set_.insert(r)) res_queue_.push_back(r);
     }
+  };
+  for (const ResourceId r : dirty_res_) {
+    if (res_set_.insert(r)) res_queue_.push_back(r);
   }
   for (const FlowId id : dirty_flow_ids_) {
     const std::size_t f = index_of(id);
-    if (f == kNoFlow || flow_mark_[f] == epoch_) continue;
-    flow_mark_[f] = epoch_;
-    closure_flows_.push_back(f);
-    for (const ResourceId r : flows_[f].spec.path) {
-      if (res_mark_[r] != epoch_) {
-        res_mark_[r] = epoch_;
-        closure_res_.push_back(r);
-      }
-    }
+    if (f != kNoFlow && flow_set_.insert(f)) enclose_path(f);
   }
 
   // BFS over the flow/resource bipartite graph: a dirty resource pulls in
   // its member flows, each flow pulls in the rest of its path, until the
   // affected bottleneck-connected components are fully enclosed.
-  for (std::size_t qi = 0; qi < closure_res_.size(); ++qi) {
-    for (const MemberRef& e : members_[closure_res_[qi]]) {
-      if (flow_mark_[e.flow] == epoch_) continue;
-      flow_mark_[e.flow] = epoch_;
-      closure_flows_.push_back(e.flow);
-      for (const ResourceId r : flows_[e.flow].spec.path) {
-        if (res_mark_[r] != epoch_) {
-          res_mark_[r] = epoch_;
-          closure_res_.push_back(r);
-        }
-      }
+  for (std::size_t qi = 0; qi < res_queue_.size(); ++qi) {
+    for (const MemberRef& e : members_[res_queue_[qi]]) {
+      if (flow_set_.insert(e.flow)) enclose_path(e.flow);
     }
   }
 
   // Enumeration order inside the water-filling loops must match the full
-  // solver's (ascending index) so the two modes freeze ties identically.
-  std::sort(closure_flows_.begin(), closure_flows_.end());
-  std::sort(closure_res_.begin(), closure_res_.end());
+  // solver's (ascending index) so the two modes freeze ties identically;
+  // the sets emit their members in exactly that order.
+  flow_set_.drain(closure_flows_);
+  res_set_.drain(closure_res_);
 }
 
 int Network::solve() {

@@ -22,14 +22,16 @@
 // Flows in untouched components keep their previously converged rates --
 // max-min decomposes exactly across components, so the result is identical
 // to a full re-solve. All per-solve scratch is arena-allocated on the
-// network (epoch-stamped marks, reusable vectors), so steady-state solves
+// network (membership bitsets, reusable vectors), so steady-state solves
 // allocate nothing. set_incremental(false) restores the historical
 // solve-everything behaviour (the benchmark baseline and a debugging aid).
 //
 // Network is a pure solver over a static "current instant"; it knows nothing
-// about time. FlowManager (manager.hpp) binds it to the event engine.
+// about time or progress. FlowManager (manager.hpp) binds it to the event
+// engine and owns every flow's remaining volume.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -70,7 +72,6 @@ struct FlowSpec {
 /// Allocation state of one active flow.
 struct FlowState {
   FlowSpec spec;
-  double remaining = 0.0;  ///< bytes still to transfer
   double rate = 0.0;       ///< current allocation (bytes/second)
   bool bottlenecked_by_cap = false;  ///< true if the cap froze it (diagnostics)
 };
@@ -118,10 +119,6 @@ class Network {
   std::size_t flow_count() const { return flows_.size(); }
   const FlowState& flow(FlowId id) const;
 
-  /// Decrease a flow's remaining volume (called by the manager as time
-  /// advances). Clamps at zero. Does not dirty the allocation.
-  void consume(FlowId id, double bytes);
-
   /// Recompute flow rates with progressive filling. In incremental mode
   /// (the default) only the bottleneck-connected components touched since
   /// the last solve are re-solved -- O(dirty component) -- and untouched
@@ -129,6 +126,15 @@ class Network {
   /// flow is re-solved from scratch, O(F * R) per freezing round. Returns
   /// the number of water-filling rounds run.
   int solve();
+
+  /// Visit every flow the last solve() re-solved -- the flows whose rate it
+  /// may have changed; every other flow kept its rate -- in ascending index
+  /// order. `fn(FlowId, const FlowState&)` must not add or remove flows,
+  /// and the set is only meaningful until the next mutation.
+  template <typename Fn>
+  void for_each_resolved(Fn&& fn) const {
+    for (const std::size_t f : closure_flows_) fn(ids_[f], flows_[f]);
+  }
 
   /// Toggle incremental solving (default on). Turning it off makes every
   /// solve() a full re-solve -- the benchmark baseline.
@@ -193,6 +199,46 @@ class Network {
     std::uint32_t slot;  ///< which path entry of that flow
   };
 
+  /// Reusable membership set over dense indices that yields its members in
+  /// ascending order: a bitset plus a summary bitset of its non-zero words.
+  /// All-zero between uses; drain() visits only the non-zero words, so one
+  /// use costs O(members + capacity / 4096) -- no sort, no clearing pass.
+  class IndexSet {
+   public:
+    void grow(std::size_t n) {
+      if (words_.size() * 64 >= n) return;
+      words_.resize((n + 63) / 64, 0);
+      summary_.resize((words_.size() + 63) / 64, 0);
+    }
+    /// Adds `i`; false when it was already a member.
+    bool insert(std::size_t i) {
+      std::uint64_t& word = words_[i / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      if ((word & bit) != 0) return false;
+      word |= bit;
+      summary_[i / 4096] |= std::uint64_t{1} << (i / 64 % 64);
+      return true;
+    }
+    /// Appends the members to `out` in ascending order and empties the set.
+    template <typename T>
+    void drain(std::vector<T>& out) {
+      for (std::size_t s = 0; s < summary_.size(); ++s) {
+        for (std::uint64_t used = summary_[s]; used != 0; used &= used - 1) {
+          const std::size_t k = s * 64 + static_cast<std::size_t>(std::countr_zero(used));
+          for (std::uint64_t word = words_[k]; word != 0; word &= word - 1) {
+            out.push_back(static_cast<T>(k * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+          }
+          words_[k] = 0;
+        }
+        summary_[s] = 0;
+      }
+    }
+
+   private:
+    std::vector<std::uint64_t> words_;    ///< bit i: member i
+    std::vector<std::uint64_t> summary_;  ///< bit k: words_[k] != 0
+  };
+
   /// Per-flow bookkeeping parallel to flows_ (swap-removed together).
   struct FlowLinks {
     FlowId prev = kNoId;  ///< creation-order intrusive list
@@ -220,9 +266,9 @@ class Network {
   std::vector<FlowId> dirty_flow_ids_;   // directly-dirtied flows (pathless adds)
 
   // --- arena-allocated solve scratch (zero steady-state allocation) ------
-  std::uint64_t epoch_ = 0;                   // current solve generation
-  std::vector<std::uint64_t> flow_mark_;      // == epoch_ -> flow in closure
-  std::vector<std::uint64_t> res_mark_;       // == epoch_ -> resource in closure
+  IndexSet flow_set_;                         // flows enclosed so far
+  IndexSet res_set_;                          // resources enclosed so far
+  std::vector<ResourceId> res_queue_;         // closure BFS, discovery order
   std::vector<char> frozen_;                  // per flow index, closure only
   std::vector<double> frozen_load_;           // per resource, closure only
   std::vector<double> unfrozen_weight_;       // per resource, closure only

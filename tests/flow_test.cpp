@@ -1,8 +1,13 @@
 // Unit + property tests for the max-min fair-sharing flow model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "flow/manager.hpp"
 #include "flow/network.hpp"
@@ -392,6 +397,138 @@ TEST(FlowManager, ManyConcurrentFlowsConserveWork) {
 
 namespace bbsim::flow {
 namespace {
+
+// Property: under seeded churn -- starts (zero-volume, pathless,
+// unlimited-rate and starved flows among them), cancels, capacity changes
+// and engine steps, interleaved, with completion callbacks that start more
+// flows -- the manager's cache stays coherent with the network after every
+// event (record order, bitwise rates and completion times, the pending
+// wake-up at the earliest completion), and every flow ends exactly once.
+TEST(FlowManagerChurn, CacheStaysCoherentAfterEveryEvent) {
+  struct Coverage {
+    int recycled = 0, zero_volume = 0, pathless = 0, unlimited = 0, starved = 0;
+    int stale_cancels = 0, callback_starts = 0, checks = 0;
+  } seen;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    sim::Engine engine;
+    FlowManager fm(engine);
+    const int n_res = static_cast<int>(rng.uniform_int(2, 8));
+    std::vector<double> nominal;
+    for (int i = 0; i < n_res; ++i) {
+      nominal.push_back(rng.chance(0.15) ? kUnlimited : rng.uniform(10.0, 1000.0));
+      fm.network().add_resource("r" + std::to_string(i), nominal.back());
+    }
+
+    std::vector<FlowId> id_of;        // per start, in start order
+    std::vector<int> ended;           // per start: completions + cancels
+    std::vector<std::size_t> live;    // starts neither finished nor cancelled
+    std::set<FlowId> ids_used;
+    const auto drop_live = [&live](std::size_t token) {
+      live.erase(std::find(live.begin(), live.end(), token));
+    };
+    std::function<void()> start_one = [&] {
+      FlowSpec spec;
+      spec.volume = rng.chance(0.1) ? 0.0 : rng.uniform(1.0, 5000.0);
+      const int len = rng.chance(0.1) ? 0 : static_cast<int>(rng.uniform_int(1, 3));
+      for (int k = 0; k < len; ++k) {
+        spec.path.push_back(static_cast<ResourceId>(rng.uniform_int(0, n_res - 1)));
+      }
+      if (rng.chance(0.3)) spec.rate_cap = rng.uniform(5.0, 500.0);
+      if (rng.chance(0.2)) spec.weight = rng.uniform(0.5, 3.0);
+      const std::size_t token = ended.size();
+      ended.push_back(0);
+      id_of.push_back(0);
+      live.push_back(token);
+      seen.zero_volume += spec.volume == 0.0 ? 1 : 0;
+      seen.pathless += spec.path.empty() ? 1 : 0;
+      const FlowId id = fm.start(spec, [&, token] {
+        ++ended[token];
+        drop_live(token);
+        if (rng.chance(0.2)) {
+          ++seen.callback_starts;
+          start_one();
+        }
+      });
+      id_of[token] = id;
+      seen.recycled += ids_used.insert(id).second ? 0 : 1;
+      const double rate = fm.current_rate(id);
+      seen.unlimited += rate == kUnlimited ? 1 : 0;
+      seen.starved += rate == 0.0 ? 1 : 0;
+    };
+    // False (and a test failure) on the first incoherence, so a broken
+    // cache stops the campaign instead of spinning it.
+    const auto coherent = [&] {
+      ++seen.checks;
+      try {
+        fm.check_invariants();
+        return true;
+      } catch (const util::InvariantError& e) {
+        ADD_FAILURE() << "after event " << engine.executed_count() << ": " << e.what();
+        return false;
+      }
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      const double action = rng.uniform(0.0, 1.0);
+      if (action < 0.35) {
+        start_one();
+      } else if (action < 0.5 && !live.empty()) {
+        const std::size_t token =
+            live[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+        ASSERT_TRUE(fm.cancel(id_of[token]).has_value());
+        ++ended[token];
+        drop_live(token);
+      } else if (action < 0.55 && !ended.empty()) {
+        // Cancelling a flow that already ended is a no-op -- unless its id
+        // was recycled into a live flow, which must not be touched.
+        const std::size_t token = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ended.size()) - 1));
+        const bool id_live = std::any_of(live.begin(), live.end(), [&](std::size_t t) {
+          return id_of[t] == id_of[token];
+        });
+        if (ended[token] != 0 && !id_live) {
+          ++seen.stale_cancels;
+          EXPECT_FALSE(fm.cancel(id_of[token]).has_value());
+        }
+      } else if (action < 0.65) {
+        const auto r = static_cast<ResourceId>(rng.uniform_int(0, n_res - 1));
+        const double pick = rng.uniform(0.0, 1.0);
+        fm.set_capacity(r, pick < 0.2   ? 0.0
+                           : pick < 0.3 ? kUnlimited
+                                        : rng.uniform(10.0, 1000.0));
+      } else {
+        engine.step();
+      }
+      if (!coherent()) return;
+    }
+
+    // Drain: restore every capacity so starved flows can finish.
+    for (int r = 0; r < n_res; ++r) {
+      fm.set_capacity(static_cast<ResourceId>(r), nominal[static_cast<std::size_t>(r)]);
+      if (!coherent()) return;
+    }
+    for (int guard = 0; engine.step(); ++guard) {
+      ASSERT_LT(guard, 100000) << "flows never drain";
+      if (!coherent()) return;
+    }
+    EXPECT_EQ(fm.active_count(), 0u);
+    EXPECT_TRUE(live.empty());
+    for (std::size_t t = 0; t < ended.size(); ++t) {
+      EXPECT_EQ(ended[t], 1) << "start #" << t;
+    }
+  }
+  // The campaign must actually reach the corners it is meant to cover.
+  EXPECT_GT(seen.recycled, 0);
+  EXPECT_GT(seen.zero_volume, 0);
+  EXPECT_GT(seen.pathless, 0);
+  EXPECT_GT(seen.unlimited, 0);
+  EXPECT_GT(seen.starved, 0);
+  EXPECT_GT(seen.stale_cancels, 0);
+  EXPECT_GT(seen.callback_starts, 0);
+  EXPECT_GT(seen.checks, 24 * 400);
+}
 
 TEST(NetworkEdge, WeightAndCapInteract) {
   // A heavy flow capped below its fair share: the cap wins, and the

@@ -389,6 +389,7 @@ TEST(SimulationProfile, CollectsSectionsAndPublishesMetrics) {
     EXPECT_GE(s.at("calls").as_number(), 1.0);
   }
   EXPECT_TRUE(names.count("flow.solve"));
+  EXPECT_TRUE(names.count("flow.settle"));
   EXPECT_TRUE(names.count("sim.dispatch"));
   EXPECT_TRUE(names.count("exec.placement"));
   // Published into the registry too.
