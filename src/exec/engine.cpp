@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <iterator>
 
 #include "exec/validate.hpp"
 
@@ -20,7 +20,25 @@ constexpr const char* kStageInType = "stage_in";
 /// Checkpoint files are "<task>.ckpt": outside the workflow's file set, so
 /// byte-conservation audits (which track declared files) ignore them.
 constexpr const char* kCkptSuffix = ".ckpt";
-}
+/// Metric names of Simulation::Stat, in enum order.
+constexpr const char* kStatNames[] = {
+    "exec.tasks_completed",
+    "exec.task_wait_time",
+    "exec.task_read_time",
+    "exec.task_compute_time",
+    "exec.task_write_time",
+    "exec.demoted_writes",
+    "storage.skipped_stage_ins",
+    "storage.evictions",
+    "resil.node_crashes",
+    "resil.files_invalidated",
+    "resil.bb_degradations",
+    "resil.pfs_brownouts",
+    "resil.tasks_killed",
+    "resil.rollbacks",
+    "resil.checkpoints",
+};
+}  // namespace
 
 const char* to_string(SchedulerPolicy policy) {
   switch (policy) {
@@ -40,6 +58,8 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
       storage_(fabric_) {
   if (!config_.placement) config_.placement = all_bb_policy();
   workflow_.validate();
+  staged_file_host_.assign(workflow_.file_count(), 0);
+  last_access_.assign(workflow_.file_count(), 0.0);
   if (config_.collect_metrics) {
     metrics_ = std::make_unique<stats::MetricsRegistry>();
     fabric_.engine().set_metrics(metrics_.get());
@@ -99,8 +119,18 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
 #endif
 }
 
-void Simulation::bump(const char* counter_name, double delta) {
-  if (metrics_) metrics_->counter(counter_name).add(delta);
+void Simulation::bump(Stat stat, double delta) {
+  static_assert(std::size(kStatNames) == static_cast<std::size_t>(Stat::kCount));
+  if (!metrics_) return;
+  const auto i = static_cast<std::size_t>(stat);
+  if (stats_[i] == nullptr) stats_[i] = &metrics_->counter(kStatNames[i]);
+  stats_[i]->add(delta);
+}
+
+void Simulation::record_queue_wait(double seconds) {
+  if (!metrics_) return;
+  if (queue_wait_ == nullptr) queue_wait_ = &metrics_->histogram("flow.queue_wait_seconds");
+  queue_wait_->record(seconds);
 }
 
 int Simulation::cores_for(const wf::Task& task) const {
@@ -118,16 +148,14 @@ void Simulation::trace(TraceEventKind kind, const std::string& task,
   trace_.push_back(TraceEvent{fabric_.engine().now(), kind, task, std::move(detail)});
 }
 
-void Simulation::prepare() {
+void Simulation::prepare(std::vector<std::size_t> homes) {
   const auto& hosts = fabric_.spec().hosts;
   free_cores_.clear();
   for (const auto& h : hosts) free_cores_.push_back(h.cores);
   int max_cores = 0;
   for (const auto& h : hosts) max_cores = std::max(max_cores, h.cores);
 
-  topo_order_ = workflow_.topological_order();
-  std::map<std::string, std::size_t> topo_index;
-  for (std::size_t i = 0; i < topo_order_.size(); ++i) topo_index[topo_order_[i]] = i;
+  topo_order_ = workflow_.topological_ids();
 
   // Locality pinning when the burst buffer restricts reads by node.
   storage::StorageService* bb_svc = bb();
@@ -137,29 +165,36 @@ void Simulation::prepare() {
        (bb_svc->kind() == StorageKind::SharedBB &&
         bb_svc->spec().mode == platform::BBMode::Private));
   const bool pin = config_.locality_pinning && restricted;
-  std::vector<std::size_t> homes;
-  if (pin) homes = compute_home_hosts(workflow_, fabric_.spec(), config_.pinning);
+  if (pin && homes.empty()) {
+    homes = compute_home_hosts(workflow_, fabric_.spec(), config_.pinning);
+  }
 
-  const auto& names = workflow_.task_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const wf::Task& t = workflow_.task(names[i]);
-    TaskState st;
+  const std::size_t n = workflow_.task_count();
+  states_.resize(n);
+  for (wf::TaskId id = 0; id < n; ++id) {
+    const wf::Task& t = workflow_.task_at(id);
+    TaskState& st = states_[id];
     st.task = &t;
-    st.topo_index = topo_index.at(t.name);
-    st.remaining_parents = workflow_.parents(t.name).size();
+    st.id = id;
+    st.remaining_parents = workflow_.parent_ids(id).size();
     st.cores = cores_for(t);
     if (st.cores > max_cores) {
       throw ConfigError("task '" + t.name + "' wants " + std::to_string(st.cores) +
                         " cores but the largest host has " + std::to_string(max_cores));
     }
-    st.home_host = pin ? homes[i] : 0;
+    st.home_host = pin ? homes[id] : 0;
     st.pinned = pin;
+    st.inputs = workflow_.input_ids(id);
+    st.outputs = workflow_.output_ids(id);
+    st.next_read = st.inputs.size();
+    st.next_write = st.outputs.size();
     st.record.name = t.name;
     st.record.type = t.type;
     st.record.cores = st.cores;
-    states_.emplace(t.name, std::move(st));
   }
-  tasks_remaining_ = names.size();
+  for (std::size_t i = 0; i < topo_order_.size(); ++i) states_[topo_order_[i]].topo_index = i;
+  by_name_ = workflow_.task_ids_by_name();
+  tasks_remaining_ = n;
 
   // Initial dataset: all workflow inputs on the PFS.
   storage::StorageService& pfs = storage_.pfs();
@@ -167,27 +202,23 @@ void Simulation::prepare() {
     pfs.register_file(storage::FileRef{f, workflow_.file(f).size}, 0);
   }
 
-  // Staging plan.
-  staged_files_.clear();
-  if (bb_svc != nullptr) {
-    const trace::ScopedTimer timer(placement_profile_);
-    staged_files_ = config_.placement->files_to_stage(workflow_);
-  }
+  // Staging plan (staged_files_, chosen by run()): each file's home host is
+  // its first reader's.
   for (const std::string& f : staged_files_) {
-    std::size_t host = 0;
-    const auto consumers = workflow_.consumers(f);
-    if (!consumers.empty()) host = states_.at(consumers.front()).home_host;
-    staged_file_host_[f] = host;
+    const wf::FileId fid = workflow_.file_id(f);
+    const auto consumers = workflow_.consumer_ids(fid);
+    staged_file_host_[fid] = consumers.empty() ? 0 : states_[consumers.front()].home_host;
   }
   if (config_.stage_in_mode == StageInMode::Instant && bb_svc != nullptr) {
     for (const std::string& f : staged_files_) {
-      const double size = workflow_.file(f).size;
+      const wf::FileId fid = workflow_.file_id(f);
+      const double size = workflow_.file_at(fid).size;
       if (!bb_has_room(size) && !(config_.bb_eviction && try_evict(size))) {
         ++skipped_stage_files_;
-        bump("storage.skipped_stage_ins");
+        bump(Stat::kSkippedStageIns);
         continue;
       }
-      bb_svc->register_file(storage::FileRef{f, size}, staged_file_host_[f]);
+      bb_svc->register_file(storage::FileRef{f, size}, staged_file_host_[fid]);
     }
   }
   build_stage_partition();
@@ -195,16 +226,16 @@ void Simulation::prepare() {
   compute_priorities();
 
   // Mark entry tasks ready.
-  for (const std::string& name : topo_order_) {
-    TaskState& st = states_.at(name);
+  for (const wf::TaskId id : topo_order_) {
+    TaskState& st = states_[id];
     if (st.remaining_parents == 0) {
       st.ready = true;
       st.record.t_ready = fabric_.engine().now();
-      enqueue_ready(name);
-      trace(TraceEventKind::TaskReady, name);
+      enqueue_ready(id);
+      trace(TraceEventKind::TaskReady, st.task->name);
       BBSIM_CRITPATH_HOOK(if (critpath_) {
         critpath_->record_ready(
-            name, st.record.t_ready,
+            st.task->name, st.record.t_ready,
             {critpath::ReadyCause::Kind::kWorkflowStart, {}});
       });
     }
@@ -216,22 +247,22 @@ void Simulation::prepare() {
 void Simulation::compute_priorities() {
   switch (config_.scheduler) {
     case SchedulerPolicy::Fcfs:
-      for (auto& [_, st] : states_) st.priority = 0.0;
+      for (TaskState& st : states_) st.priority = 0.0;
       return;
     case SchedulerPolicy::LargestFirst:
-      for (auto& [_, st] : states_) st.priority = st.task->flops;
+      for (TaskState& st : states_) st.priority = st.task->flops;
       return;
     case SchedulerPolicy::SmallestFirst:
-      for (auto& [_, st] : states_) st.priority = -st.task->flops;
+      for (TaskState& st : states_) st.priority = -st.task->flops;
       return;
     case SchedulerPolicy::CriticalPathFirst: {
       // Upward rank: a task's sequential work plus the heaviest downstream
       // chain (HEFT's rank_u without communication terms).
       for (auto it = topo_order_.rbegin(); it != topo_order_.rend(); ++it) {
-        TaskState& st = states_.at(*it);
+        TaskState& st = states_[*it];
         double best_child = 0.0;
-        for (const std::string& child : workflow_.children(*it)) {
-          best_child = std::max(best_child, states_.at(child).priority);
+        for (const wf::TaskId child : workflow_.child_ids(*it)) {
+          best_child = std::max(best_child, states_[child].priority);
         }
         st.priority = st.task->flops + best_child;
       }
@@ -240,21 +271,21 @@ void Simulation::compute_priorities() {
   }
 }
 
-void Simulation::enqueue_ready(const std::string& task_name) {
+void Simulation::enqueue_ready(wf::TaskId task) {
   if (config_.scheduler == SchedulerPolicy::Fcfs) {
-    ready_queue_.push_back(task_name);
+    ready_queue_.push_back(task);
     return;
   }
-  const TaskState& st = states_.at(task_name);
+  const TaskState& st = states_[task];
   auto pos = ready_queue_.begin();
   for (; pos != ready_queue_.end(); ++pos) {
-    const TaskState& other = states_.at(*pos);
+    const TaskState& other = states_[*pos];
     if (st.priority > other.priority ||
         (st.priority == other.priority && st.topo_index < other.topo_index)) {
       break;
     }
   }
-  ready_queue_.insert(pos, task_name);
+  ready_queue_.insert(pos, task);
 }
 
 void Simulation::try_schedule() {
@@ -262,7 +293,7 @@ void Simulation::try_schedule() {
   while (progressed) {
     progressed = false;
     for (auto it = ready_queue_.begin(); it != ready_queue_.end(); ++it) {
-      TaskState& st = states_.at(*it);
+      TaskState& st = states_[*it];
       std::size_t chosen = static_cast<std::size_t>(-1);
       if (st.pinned) {
         // Wait for the home host unless it can never fit the request.
@@ -287,9 +318,9 @@ void Simulation::try_schedule() {
         }
       }
       if (chosen == static_cast<std::size_t>(-1)) continue;
-      const std::string name = *it;
+      const wf::TaskId id = *it;
       ready_queue_.erase(it);
-      start_task(states_.at(name), chosen);
+      start_task(states_[id], chosen);
       progressed = true;
       break;  // iterators invalidated; rescan
     }
@@ -331,15 +362,15 @@ void Simulation::start_task(TaskState& ts, std::size_t host) {
 
 void Simulation::begin_reads(TaskState& ts) {
   ts.reading = true;
-  for (const std::string& f : ts.task->inputs) ts.pending_reads.push_back(f);
+  ts.next_read = 0;
   issue_reads(ts);
 }
 
 void Simulation::build_stage_partition() {
   staged_by_task_.clear();
-  std::vector<std::string> stage_tasks;
-  for (const std::string& name : workflow_.task_names()) {
-    if (workflow_.task(name).type == kStageInType) stage_tasks.push_back(name);
+  std::vector<wf::TaskId> stage_tasks;
+  for (wf::TaskId id = 0; id < workflow_.task_count(); ++id) {
+    if (workflow_.task_at(id).type == kStageInType) stage_tasks.push_back(id);
   }
   if (stage_tasks.empty()) return;
   if (stage_tasks.size() == 1) {
@@ -347,29 +378,42 @@ void Simulation::build_stage_partition() {
     return;
   }
   // Several stage-in tasks (one workflow instance per pipeline): each one
-  // copies the staged files its descendants consume.
-  std::set<std::string> assigned;
-  for (const std::string& stage : stage_tasks) {
+  // copies the staged files its descendants consume. `seen` and `wanted`
+  // are stamped with the stage task being walked.
+  std::vector<wf::TaskId> seen(workflow_.task_count(), wf::kNoId);
+  std::vector<wf::TaskId> wanted(workflow_.file_count(), wf::kNoId);
+  std::vector<char> assigned(workflow_.file_count(), 0);
+  for (const wf::TaskId stage : stage_tasks) {
     // BFS over descendants.
-    std::set<std::string> seen{stage};
-    std::deque<std::string> frontier{stage};
-    std::set<std::string> wanted;
+    seen[stage] = stage;
+    std::deque<wf::TaskId> frontier{stage};
     while (!frontier.empty()) {
-      const std::string task = frontier.front();
+      const wf::TaskId task = frontier.front();
       frontier.pop_front();
-      for (const std::string& child : workflow_.children(task)) {
-        if (seen.insert(child).second) frontier.push_back(child);
+      for (const wf::TaskId child : workflow_.child_ids(task)) {
+        if (seen[child] != stage) {
+          seen[child] = stage;
+          frontier.push_back(child);
+        }
       }
-      for (const std::string& f : workflow_.task(task).inputs) wanted.insert(f);
+      for (const wf::FileId f : workflow_.input_ids(task)) wanted[f] = stage;
     }
     std::vector<std::string>& mine = staged_by_task_[stage];
     for (const std::string& f : staged_files_) {
-      if (wanted.count(f) > 0 && assigned.insert(f).second) mine.push_back(f);
+      const wf::FileId fid = workflow_.file_id(f);
+      if (wanted[fid] == stage && assigned[fid] == 0) {
+        assigned[fid] = 1;
+        mine.push_back(f);
+      }
     }
   }
   // Leftovers (staged files no stage-in task covers) go to the first task.
   for (const std::string& f : staged_files_) {
-    if (assigned.insert(f).second) staged_by_task_[stage_tasks.front()].push_back(f);
+    const wf::FileId fid = workflow_.file_id(f);
+    if (assigned[fid] == 0) {
+      assigned[fid] = 1;
+      staged_by_task_[stage_tasks.front()].push_back(f);
+    }
   }
 }
 
@@ -377,7 +421,7 @@ void Simulation::run_stage_in(TaskState& ts) {
   const double now = fabric_.engine().now();
   if (!stage_in_seen_ || now < stage_in_start_) stage_in_start_ = now;
   stage_in_seen_ = true;
-  const auto it = staged_by_task_.find(ts.task->name);
+  const auto it = staged_by_task_.find(ts.id);
   const std::vector<std::string>* files =
       it != staged_by_task_.end() ? &it->second : nullptr;
   if (config_.stage_in_mode == StageInMode::Instant || files == nullptr ||
@@ -413,16 +457,17 @@ void Simulation::pump_stage_chain(const std::shared_ptr<StageChain>& chain) {
       static_cast<std::size_t>(std::max(1, config_.stage_in_width));
   while (chain->next < chain->files->size() && chain->inflight < width) {
     const std::string& fname = (*chain->files)[chain->next++];
-    const storage::FileRef file{fname, workflow_.file(fname).size};
+    const wf::FileId fid = workflow_.file_id(fname);
+    const storage::FileRef file{fname, workflow_.file_at(fid).size};
     if (!bb_has_room(file.size) && !(config_.bb_eviction && try_evict(file.size))) {
       // The allocation is full: the file stays on the PFS (and is counted).
       ++skipped_stage_files_;
-      bump("storage.skipped_stage_ins");
+      bump(Stat::kSkippedStageIns);
       trace(TraceEventKind::StageSkipped,
             chain->ts != nullptr ? chain->ts->task->name : "implicit_stage_in", fname);
       continue;
     }
-    const std::size_t via_host = staged_file_host_.at(fname);
+    const std::size_t via_host = staged_file_host_[fid];
     if (chain->ts != nullptr) {
       chain->ts->record.bytes_read += file.size;
       chain->ts->record.bytes_written += file.size;
@@ -443,32 +488,29 @@ void Simulation::pump_stage_chain(const std::shared_ptr<StageChain>& chain) {
 
 void Simulation::issue_reads(TaskState& ts) {
   const std::size_t window = static_cast<std::size_t>(ts.cores);
-  while (!ts.pending_reads.empty() && ts.inflight_io < window) {
-    const std::string fname = ts.pending_reads.front();
-    ts.pending_reads.pop_front();
+  while (ts.next_read < ts.inputs.size() && ts.inflight_io < window) {
+    const wf::FileId fid = ts.inputs[ts.next_read++];
+    const std::string& fname = workflow_.file_at(fid).name;
     storage::StorageService* src = storage_.best_source(fname, ts.host);
     if (src == nullptr) {
       throw InvariantError("task '" + ts.task->name + "' cannot read file '" + fname +
                            "' from host " + std::to_string(ts.host) +
                            " (no readable replica)");
     }
-    last_access_[fname] = fabric_.engine().now();  // LRU bookkeeping
-    const storage::FileRef file{fname, workflow_.file(fname).size};
+    last_access_[fid] = fabric_.engine().now();  // LRU bookkeeping
+    const storage::FileRef file{fname, workflow_.file_at(fid).size};
     ts.record.bytes_read += file.size;
     BBSIM_CRITPATH_HOOK(if (critpath_) {
       critpath_->record_read_bytes(ts.task->name, file.size,
                                    src != &storage_.pfs());
     });
-    if (metrics_) {
-      // How long this transfer waited in the task's pending queue (the
-      // paper's I/O window is `cores` concurrent files).
-      metrics_->histogram("flow.queue_wait_seconds")
-          .record(fabric_.engine().now() - ts.record.t_start);
-    }
+    // How long this transfer waited in the task's pending queue (the
+    // paper's I/O window is `cores` concurrent files).
+    record_queue_wait(fabric_.engine().now() - ts.record.t_start);
     ++ts.inflight_io;
     auto done = [this, &ts] {
       --ts.inflight_io;
-      if (ts.pending_reads.empty() && ts.inflight_io == 0) {
+      if (ts.next_read == ts.inputs.size() && ts.inflight_io == 0) {
         on_reads_done(ts);
       } else {
         issue_reads(ts);
@@ -482,7 +524,7 @@ void Simulation::issue_reads(TaskState& ts) {
       src->read(file, ts.host, std::move(done));
     }
   }
-  if (ts.pending_reads.empty() && ts.inflight_io == 0 && ts.task->inputs.empty()) {
+  if (ts.inflight_io == 0 && ts.inputs.empty()) {
     on_reads_done(ts);
   }
 }
@@ -537,9 +579,9 @@ double Simulation::checkpoint_bytes(const TaskState& ts) const {
   const resil::CheckpointSpec& ck = config_.checkpoint;
   if (ck.bytes > 0.0) return ck.bytes;
   double base = 0.0;
-  for (const std::string& f : ts.task->outputs) base += workflow_.file(f).size;
+  for (const wf::FileId f : ts.outputs) base += workflow_.file_at(f).size;
   if (base <= 0.0) {
-    for (const std::string& f : ts.task->inputs) base += workflow_.file(f).size;
+    for (const wf::FileId f : ts.inputs) base += workflow_.file_at(f).size;
   }
   return ck.fraction * base;
 }
@@ -581,7 +623,7 @@ void Simulation::take_checkpoint(TaskState& ts) {
   ts.ckpt_write_start = fabric_.engine().now();
   trace(TraceEventKind::Checkpoint, ts.task->name,
         util::format("%s -> %s", file.name.c_str(), dst.name().c_str()));
-  bump("resil.checkpoints");
+  bump(Stat::kCheckpoints);
   const double progress = ts.compute_done;
   ts.ckpt_op = dst.write_cancellable(
       file, ts.host, [this, &ts, progress, bytes, to_bb, file] {
@@ -616,8 +658,8 @@ void Simulation::take_checkpoint(TaskState& ts) {
 void Simulation::on_compute_done(TaskState& ts) {
   ts.record.t_compute_done = fabric_.engine().now();
   trace(TraceEventKind::ComputeDone, ts.task->name);
-  for (const std::string& f : ts.task->outputs) ts.pending_writes.push_back(f);
-  if (ts.pending_writes.empty()) {
+  ts.next_write = 0;
+  if (ts.outputs.empty()) {
     finish_task(ts);
     return;
   }
@@ -631,8 +673,9 @@ bool Simulation::bb_has_room(double bytes) {
   return cap == platform::kUnlimited || bb_svc->used_bytes() + bytes <= cap;
 }
 
-Tier Simulation::output_tier(const TaskState& ts, const std::string& file_name) const {
-  Tier tier = config_.placement->place_output(workflow_, ts.task->name, file_name);
+Tier Simulation::output_tier(const TaskState& ts, wf::FileId file) const {
+  Tier tier =
+      config_.placement->place_output(workflow_, ts.task->name, workflow_.file_at(file).name);
   if (tier != Tier::BurstBuffer) return tier;
   const storage::StorageService* bb_svc = storage_.burst_buffer();
   if (bb_svc == nullptr) return Tier::PFS;
@@ -643,8 +686,8 @@ Tier Simulation::output_tier(const TaskState& ts, const std::string& file_name) 
       (bb_svc->kind() == StorageKind::SharedBB &&
        bb_svc->spec().mode == platform::BBMode::Private);
   if (restricted) {
-    for (const std::string& consumer : workflow_.consumers(file_name)) {
-      const TaskState& cs = states_.at(consumer);
+    for (const wf::TaskId consumer : workflow_.consumer_ids(file)) {
+      const TaskState& cs = states_[consumer];
       const std::size_t consumer_host = cs.pinned ? cs.home_host : ts.host;
       if (consumer_host != ts.host) return Tier::PFS;
     }
@@ -654,9 +697,9 @@ Tier Simulation::output_tier(const TaskState& ts, const std::string& file_name) 
 
 void Simulation::issue_writes(TaskState& ts) {
   const std::size_t window = static_cast<std::size_t>(ts.cores);
-  while (!ts.pending_writes.empty() && ts.inflight_io < window) {
-    const std::string fname = ts.pending_writes.front();
-    ts.pending_writes.pop_front();
+  while (ts.next_write < ts.outputs.size() && ts.inflight_io < window) {
+    const wf::FileId fid = ts.outputs[ts.next_write++];
+    const std::string& fname = workflow_.file_at(fid).name;
     Tier requested = Tier::PFS;
     Tier tier = Tier::PFS;
     {
@@ -664,10 +707,10 @@ void Simulation::issue_writes(TaskState& ts) {
       // profiler attributes to "exec.placement"; issuing the write is not.
       const trace::ScopedTimer placement_timer(placement_profile_);
       requested = config_.placement->place_output(workflow_, ts.task->name, fname);
-      tier = output_tier(ts, fname);
+      tier = output_tier(ts, fid);
       if (tier == Tier::BurstBuffer) {
         // Demotion 2: the BB is full (optionally evict staged inputs first).
-        const double size = workflow_.file(fname).size;
+        const double size = workflow_.file_at(fid).size;
         if (!bb_has_room(size) && !(config_.bb_eviction && try_evict(size))) {
           tier = Tier::PFS;
         }
@@ -675,26 +718,23 @@ void Simulation::issue_writes(TaskState& ts) {
     }
     if (requested == Tier::BurstBuffer && tier == Tier::PFS) {
       ++demoted_writes_;
-      bump("exec.demoted_writes");
+      bump(Stat::kDemotedWrites);
     }
     storage::StorageService& dst =
         tier == Tier::BurstBuffer ? *storage_.burst_buffer() : storage_.pfs();
-    const storage::FileRef file{fname, workflow_.file(fname).size};
+    const storage::FileRef file{fname, workflow_.file_at(fid).size};
     ts.record.bytes_written += file.size;
     BBSIM_CRITPATH_HOOK(if (critpath_) {
       critpath_->record_write_bytes(ts.task->name, file.size,
                                     tier == Tier::BurstBuffer);
     });
-    if (metrics_) {
-      metrics_->histogram("flow.queue_wait_seconds")
-          .record(fabric_.engine().now() - ts.record.t_compute_done);
-    }
+    record_queue_wait(fabric_.engine().now() - ts.record.t_compute_done);
     trace(TraceEventKind::Write, ts.task->name,
           util::format("%s -> %s", fname.c_str(), dst.name().c_str()));
     ++ts.inflight_io;
     auto done = [this, &ts] {
       --ts.inflight_io;
-      if (ts.pending_writes.empty() && ts.inflight_io == 0) {
+      if (ts.next_write == ts.outputs.size() && ts.inflight_io == 0) {
         finish_task(ts);
       } else {
         issue_writes(ts);
@@ -715,11 +755,11 @@ void Simulation::finish_task(TaskState& ts) {
   free_cores_[ts.host] += ts.cores;
   --tasks_remaining_;
   trace(TraceEventKind::TaskEnd, ts.task->name);
-  bump("exec.tasks_completed");
-  bump("exec.task_wait_time", ts.record.t_start - ts.record.t_ready);
-  bump("exec.task_read_time", ts.record.read_time());
-  bump("exec.task_compute_time", ts.record.compute_time());
-  bump("exec.task_write_time", ts.record.write_time());
+  bump(Stat::kTasksCompleted);
+  bump(Stat::kTaskWaitTime, ts.record.t_start - ts.record.t_ready);
+  bump(Stat::kTaskReadTime, ts.record.read_time());
+  bump(Stat::kTaskComputeTime, ts.record.compute_time());
+  bump(Stat::kTaskWriteTime, ts.record.write_time());
   if (resil_ != nullptr) {
     ts.io_ops.clear();  // all completed; drop the (inert) handles
     cleanup_checkpoints(ts);
@@ -728,8 +768,8 @@ void Simulation::finish_task(TaskState& ts) {
     if (tr.first_complete_time < 0.0) tr.first_complete_time = ts.record.t_end;
   }
 
-  for (const std::string& child : workflow_.children(ts.task->name)) {
-    TaskState& cs = states_.at(child);
+  for (const wf::TaskId child : workflow_.child_ids(ts.id)) {
+    TaskState& cs = states_[child];
     // A child that finished before this parent was rolled back keeps its
     // result; re-completing the parent must not unblock it twice.
     if (cs.done) continue;
@@ -737,10 +777,10 @@ void Simulation::finish_task(TaskState& ts) {
       cs.ready = true;
       cs.record.t_ready = fabric_.engine().now();
       enqueue_ready(child);
-      trace(TraceEventKind::TaskReady, child);
+      trace(TraceEventKind::TaskReady, cs.task->name);
       BBSIM_CRITPATH_HOOK(if (critpath_) {
         critpath_->record_ready(
-            child, cs.record.t_ready,
+            cs.task->name, cs.record.t_ready,
             {critpath::ReadyCause::Kind::kParent, ts.task->name});
       });
     }
@@ -762,22 +802,24 @@ void Simulation::run_stage_out() {
     if (bb_svc->has_file(f) && !storage_.pfs().has_file(f)) files->push_back(f);
   }
   if (files->empty()) return;
-  const double start = fabric_.engine().now();
-  auto drain = std::make_shared<std::function<void(std::size_t)>>();
-  *drain = [this, files, start, drain, bb_svc](std::size_t index) {
-    if (index >= files->size()) {
-      stage_out_duration_ = fabric_.engine().now() - start;
-      return;
-    }
-    const std::string& fname = (*files)[index];
-    const storage::StorageService::Replica* rep = bb_svc->replica(fname);
-    const std::size_t via_host = rep != nullptr ? rep->creator_host : 0;
-    trace(TraceEventKind::StageOut, "stage_out", fname);
-    storage_.transfer(storage::FileRef{fname, workflow_.file(fname).size}, *bb_svc,
-                      storage_.pfs(), via_host,
-                      [drain, index] { (*drain)(index + 1); });
-  };
-  (*drain)(0);
+  drain_stage_out(std::move(files), 0, fabric_.engine().now());
+}
+
+void Simulation::drain_stage_out(std::shared_ptr<const std::vector<std::string>> files,
+                                 std::size_t index, double start) {
+  if (index >= files->size()) {
+    stage_out_duration_ = fabric_.engine().now() - start;
+    return;
+  }
+  storage::StorageService* bb_svc = bb();
+  const std::string& fname = (*files)[index];
+  const storage::StorageService::Replica* rep = bb_svc->replica(fname);
+  const std::size_t via_host = rep != nullptr ? rep->creator_host : 0;
+  trace(TraceEventKind::StageOut, "stage_out", fname);
+  storage_.transfer(storage::FileRef{fname, workflow_.file(fname).size}, *bb_svc,
+                    storage_.pfs(), via_host, [this, files, index, start] {
+                      drain_stage_out(files, index + 1, start);
+                    });
 }
 
 bool Simulation::try_evict(double bytes) {
@@ -793,9 +835,8 @@ bool Simulation::try_evict(double bytes) {
   std::vector<Candidate> candidates;
   for (const std::string& f : staged_files_) {
     if (!bb_svc->has_file(f)) continue;
-    const auto it = last_access_.find(f);
-    candidates.push_back({f, it == last_access_.end() ? 0.0 : it->second,
-                          workflow_.file(f).size});
+    const wf::FileId fid = workflow_.file_id(f);
+    candidates.push_back({f, last_access_[fid], workflow_.file_at(fid).size});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
@@ -805,7 +846,7 @@ bool Simulation::try_evict(double bytes) {
     if (bb_has_room(bytes)) return true;
     bb_svc->erase_file(c.file);
     ++evicted_files_;
-    bump("storage.evictions");
+    bump(Stat::kEvictions);
     trace(TraceEventKind::Evict, "", c.file);
   }
   return bb_has_room(bytes);
@@ -862,12 +903,13 @@ void Simulation::on_node_crash(std::size_t host) {
   ResilState& st = *resil_;
   st.host_up[host] = 0;
   ++st.stats.node_crashes;
-  bump("resil.node_crashes");
+  bump(Stat::kNodeCrashes);
   trace(TraceEventKind::NodeCrash, "", util::format("host=%zu", host));
   sample_hosts_down();
   // Running attempts on the host die. Stage-in pseudo-tasks model the
   // platform's data-movement service, not node-bound work; they survive.
-  for (auto& [name, ts] : states_) {
+  for (const wf::TaskId id : by_name_) {
+    TaskState& ts = states_[id];
     if (ts.running && ts.host == host && ts.task->type != kStageInType) {
       kill_task(ts, /*requeue=*/true);
     }
@@ -881,22 +923,23 @@ void Simulation::on_node_crash(std::size_t host) {
       if (rep == nullptr || rep->node != static_cast<int>(host)) continue;
       bb_svc->erase_file(f);
       ++st.stats.files_invalidated;
-      bump("resil.files_invalidated");
+      bump(Stat::kFilesInvalidated);
       if (workflow_.has_file(f)) {
         // Staged inputs and drained outputs keep a PFS master copy; only a
         // BB-only intermediate forces lineage recovery.
-        if (!storage_.pfs().has_file(f)) on_file_lost(f);
+        if (!storage_.pfs().has_file(f)) on_file_lost(workflow_.file_id(f));
       } else if (f.size() > std::string(kCkptSuffix).size() &&
                  f.rfind(kCkptSuffix) == f.size() - std::string(kCkptSuffix).size()) {
         // A checkpoint image died with its node: a drain still reading it
         // can never complete, and its progress is no longer recoverable
         // from the BB (the PFS copy, if drained, still is).
         const std::string owner = f.substr(0, f.size() - std::string(kCkptSuffix).size());
-        const auto it = states_.find(owner);
-        if (it != states_.end() && it->second.drain_op != nullptr) {
-          it->second.drain_op->cancel();
-          it->second.drain_op.reset();
-          st.stats.checkpoint_bytes_discarded += it->second.ckpt_size;
+        TaskState* os =
+            workflow_.has_task(owner) ? &states_[workflow_.task_id(owner)] : nullptr;
+        if (os != nullptr && os->drain_op != nullptr) {
+          os->drain_op->cancel();
+          os->drain_op.reset();
+          st.stats.checkpoint_bytes_discarded += os->ckpt_size;
         }
       }
     }
@@ -933,7 +976,7 @@ void Simulation::on_bb_degrade() {
   if (tasks_remaining_ == 0) return;
   const resil::FaultSpec& spec = config_.faults;
   ++resil_->stats.bb_degradations;
-  bump("resil.bb_degradations");
+  bump(Stat::kBbDegradations);
   const std::size_t idx = bb()->storage_index();
   fabric_.scale_storage_capacity(idx, spec.bb_degrade);
   trace(TraceEventKind::BbDegraded, "",
@@ -960,7 +1003,7 @@ void Simulation::on_pfs_brownout() {
   if (tasks_remaining_ == 0) return;
   const resil::FaultSpec& spec = config_.faults;
   ++resil_->stats.pfs_brownouts;
-  bump("resil.pfs_brownouts");
+  bump(Stat::kPfsBrownouts);
   const std::size_t idx = storage_.pfs().storage_index();
   fabric_.scale_storage_capacity(idx, spec.pfs_brownout);
   trace(TraceEventKind::PfsBrownout, "",
@@ -988,7 +1031,7 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   stats.lost_core_seconds += lost;
   ++stats.tasks_killed;
   ++stats.restarts;
-  bump("resil.tasks_killed");
+  bump(Stat::kTasksKilled);
   resil::TaskResil& tr = stats.tasks[ts.task->name];
   ++tr.kills;
   tr.lost_core_seconds += lost;
@@ -1012,8 +1055,8 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
     ts.drain_op.reset();
     stats.checkpoint_bytes_discarded += ts.ckpt_size;
   }
-  ts.pending_reads.clear();
-  ts.pending_writes.clear();
+  ts.next_read = ts.inputs.size();
+  ts.next_write = ts.outputs.size();
   ts.inflight_io = 0;
   ts.reading = false;
   ts.compute_done = 0.0;
@@ -1029,7 +1072,7 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   if (requeue) {
     ts.ready = true;
     ts.record.t_ready = now;
-    enqueue_ready(ts.task->name);
+    enqueue_ready(ts.id);
     trace(TraceEventKind::TaskReady, ts.task->name);
     BBSIM_CRITPATH_HOOK(if (critpath_) {
       critpath_->record_ready(ts.task->name, now,
@@ -1047,7 +1090,7 @@ void Simulation::rollback_task(TaskState& ts) {
   ++tasks_remaining_;
   ++stats.rollbacks;
   ++stats.restarts;
-  bump("resil.rollbacks");
+  bump(Stat::kRollbacks);
   // The whole measured compute phase (checkpoint stalls included) will run
   // again; its first execution becomes rework.
   const double compute =
@@ -1070,8 +1113,8 @@ void Simulation::rollback_task(TaskState& ts) {
         util::format("attempt=%d", ts.attempt + 1));
   // Non-done children must wait for the re-run; done children keep their
   // results (their bytes were consumed before the crash).
-  for (const std::string& child : workflow_.children(ts.task->name)) {
-    TaskState& cs = states_.at(child);
+  for (const wf::TaskId child : workflow_.child_ids(ts.id)) {
+    TaskState& cs = states_[child];
     if (cs.done) continue;
     ++cs.remaining_parents;
     if (cs.running) {
@@ -1085,13 +1128,13 @@ void Simulation::rollback_task(TaskState& ts) {
   // Ready again once every parent is done (a parent rolled back later will
   // re-claim this task through its own children sweep above).
   ts.remaining_parents = 0;
-  for (const std::string& parent : workflow_.parents(ts.task->name)) {
-    if (!states_.at(parent).done) ++ts.remaining_parents;
+  for (const wf::TaskId parent : workflow_.parent_ids(ts.id)) {
+    if (!states_[parent].done) ++ts.remaining_parents;
   }
   if (ts.remaining_parents == 0) {
     ts.ready = true;
     ts.record.t_ready = now;
-    enqueue_ready(ts.task->name);
+    enqueue_ready(ts.id);
     trace(TraceEventKind::TaskReady, ts.task->name);
     BBSIM_CRITPATH_HOOK(if (critpath_) {
       critpath_->record_ready(ts.task->name, now,
@@ -1101,36 +1144,36 @@ void Simulation::rollback_task(TaskState& ts) {
     ts.ready = false;
   }
   // Inputs lost with the same crash must be re-produced too.
-  for (const std::string& f : ts.task->inputs) ensure_file_available(f);
+  for (const wf::FileId f : ts.inputs) ensure_file_available(f);
 }
 
-void Simulation::ensure_file_available(const std::string& fname) {
-  if (!storage_.replicas_of(fname).empty()) return;
-  const auto producer = workflow_.producer(fname);
-  if (!producer) return;  // workflow inputs keep their PFS master copy
-  TaskState& ps = states_.at(*producer);
+void Simulation::ensure_file_available(wf::FileId file) {
+  if (!storage_.replicas_of(workflow_.file_at(file).name).empty()) return;
+  const wf::TaskId producer = workflow_.producer_id(file);
+  if (producer == wf::kNoId) return;  // workflow inputs keep their PFS master copy
+  TaskState& ps = states_[producer];
   // Running or queued producers will (re)write the file when they execute.
   if (ps.done) rollback_task(ps);
 }
 
-void Simulation::on_file_lost(const std::string& fname) {
+void Simulation::on_file_lost(wf::FileId file) {
   // Consumers mid-read of the dead replica must retry against a re-produced
   // copy; consumers past their read phase already hold the bytes in memory.
-  for (const std::string& consumer : workflow_.consumers(fname)) {
-    TaskState& cs = states_.at(consumer);
+  for (const wf::TaskId consumer : workflow_.consumer_ids(file)) {
+    TaskState& cs = states_[consumer];
     if (cs.running && cs.reading) kill_task(cs, /*requeue=*/true);
   }
   bool needed = false;
-  for (const std::string& consumer : workflow_.consumers(fname)) {
-    if (!states_.at(consumer).done) {
+  for (const wf::TaskId consumer : workflow_.consumer_ids(file)) {
+    if (!states_[consumer].done) {
       needed = true;
       break;
     }
   }
   if (!needed) return;  // every consumer already has its result
-  const auto producer = workflow_.producer(fname);
-  if (!producer) return;
-  TaskState& ps = states_.at(*producer);
+  const wf::TaskId producer = workflow_.producer_id(file);
+  if (producer == wf::kNoId) return;
+  TaskState& ps = states_[producer];
   if (ps.done) rollback_task(ps);
 }
 
@@ -1158,8 +1201,9 @@ void Simulation::cleanup_checkpoints(TaskState& ts) {
 
 Result Simulation::collect_result() {
   Result r;
-  for (const auto& [name, st] : states_) {
-    r.tasks.emplace(name, st.record);
+  for (const wf::TaskId id : by_name_) {
+    const TaskState& st = states_[id];
+    r.tasks.emplace(st.task->name, st.record);
     r.makespan = std::max(r.makespan, st.record.t_end);
   }
   r.stage_out_duration = stage_out_duration_;
@@ -1212,16 +1256,17 @@ Result Simulation::collect_result() {
     input.makespan = r.makespan;
     input.stage_out_duration = stage_out_duration_;
     input.tasks.reserve(states_.size());
-    for (const auto& [name, st] : states_) {
+    for (const wf::TaskId id : by_name_) {
+      const TaskState& st = states_[id];
       critpath::TaskTimes t;
-      t.name = name;
+      t.name = st.task->name;
       t.stage_in = st.task->type == kStageInType;
       t.t_ready = st.record.t_ready;
       t.t_start = st.record.t_start;
       t.t_reads_done = st.record.t_reads_done;
       t.t_compute_done = st.record.t_compute_done;
       t.t_end = st.record.t_end;
-      t.parents = workflow_.parents(name);
+      t.parents = workflow_.parents(st.task->name);
       input.tasks.push_back(std::move(t));
     }
     const critpath::Report report = critpath::analyze(*critpath_, input);
@@ -1261,11 +1306,12 @@ Result Simulation::collect_result() {
     r.profile = profiler_->to_json();
   }
   if (timeline_rec_) {
-    // states_ is a name-sorted map, so task spans enter in a deterministic
-    // order; finish() re-sorts by (host, start) for lane assignment.
-    for (const auto& [name, st] : states_) {
+    // Task spans enter in name order, a deterministic order; finish()
+    // re-sorts by (host, start) for lane assignment.
+    for (const wf::TaskId id : by_name_) {
+      const TaskState& st = states_[id];
       trace::TaskSpan span;
-      span.name = name;
+      span.name = st.task->name;
       span.type = st.record.type;
       span.host = st.record.host;
       span.cores = st.record.cores;
@@ -1295,38 +1341,37 @@ Result Simulation::run() {
   if (ran_) throw InvariantError("Simulation::run() called twice");
   ran_ = true;
 
+  // Staging plan: the input files to stage into the burst buffer.
+  if (bb() != nullptr) {
+    const trace::ScopedTimer timer(placement_profile_);
+    staged_files_ = config_.placement->files_to_stage(workflow_);
+  }
+
   // Implicit stage-in: a Task-mode plan on a workflow without a stage-in
   // task stages everything up-front, before entry tasks become ready.
   const bool has_stage_task = [this] {
-    for (const std::string& name : workflow_.task_names()) {
-      if (workflow_.task(name).type == kStageInType) return true;
+    for (wf::TaskId id = 0; id < workflow_.task_count(); ++id) {
+      if (workflow_.task_at(id).type == kStageInType) return true;
     }
     return false;
   }();
 
   if (config_.stage_in_mode == StageInMode::Task && !has_stage_task &&
-      bb() != nullptr && !config_.placement->files_to_stage(workflow_).empty()) {
-    // Run the implicit staging first, then release the workflow.
-    staged_files_ = config_.placement->files_to_stage(workflow_);
-    // prepare() would re-derive the same list; set a flag via a small dance:
-    // stage files sequentially, then prepare the rest of the run.
+      !staged_files_.empty()) {
+    // Run the implicit staging first, then release the workflow. The PFS
+    // registration repeats in prepare(), as it always has.
     storage::StorageService& pfs_svc = storage_.pfs();
     for (const std::string& f : workflow_.input_files()) {
       pfs_svc.register_file(storage::FileRef{f, workflow_.file(f).size}, 0);
     }
-    // Home hosts are needed for placement of staged files; compute a
-    // lightweight pinning (same as prepare() will).
-    std::map<std::string, std::size_t> home_by_task;
-    {
-      const auto homes = compute_home_hosts(workflow_, fabric_.spec(), config_.pinning);
-      const auto& names = workflow_.task_names();
-      for (std::size_t i = 0; i < names.size(); ++i) home_by_task[names[i]] = homes[i];
-    }
+    // Each staged file goes to its first reader's home host; prepare()
+    // reuses the homes when it pins.
+    std::vector<std::size_t> homes =
+        compute_home_hosts(workflow_, fabric_.spec(), config_.pinning);
     for (const std::string& f : staged_files_) {
-      std::size_t host = 0;
-      const auto consumers = workflow_.consumers(f);
-      if (!consumers.empty()) host = home_by_task.at(consumers.front());
-      staged_file_host_[f] = host;
+      const wf::FileId fid = workflow_.file_id(f);
+      const auto consumers = workflow_.consumer_ids(fid);
+      staged_file_host_[fid] = consumers.empty() ? 0 : homes[consumers.front()];
     }
     stage_in_start_ = 0.0;
     stage_in_seen_ = true;
@@ -1337,23 +1382,21 @@ Result Simulation::run() {
     BBSIM_CRITPATH_HOOK(if (critpath_) {
       critpath_->record_implicit_stage(0.0, fabric_.engine().now());
     });
-    // Inputs are now placed; continue with the normal preparation, but make
-    // sure prepare() does not re-register/re-stage.
-    auto placement_backup = config_.placement;
-    config_.placement = std::make_shared<FractionPolicy>(0.0, Tier::BurstBuffer);
-    // Note: intermediates should still follow the original policy.
-    prepare();
-    config_.placement = placement_backup;
+    // Inputs are now placed: the rest of the run sees an empty staging plan
+    // (intermediates still follow the policy).
+    staged_files_.clear();
+    prepare(std::move(homes));
   } else {
-    prepare();
+    prepare({});
   }
 
   fabric_.engine().run();
 
   if (tasks_remaining_ > 0) {
-    for (const auto& [name, st] : states_) {
-      if (!st.done) {
-        throw InvariantError("execution stalled: task '" + name + "' never completed (" +
+    for (const wf::TaskId id : by_name_) {
+      if (!states_[id].done) {
+        throw InvariantError("execution stalled: task '" + states_[id].task->name +
+                             "' never completed (" +
                              std::to_string(tasks_remaining_) + " remaining)");
       }
     }

@@ -21,11 +21,13 @@
 // testbed emulator (src/testbed installs caps/latency/noise hooks).
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -160,6 +162,7 @@ class Simulation {
   // ------------------------------------------------------ per-task state
   struct TaskState {
     const wf::Task* task = nullptr;
+    wf::TaskId id = 0;
     std::size_t topo_index = 0;
     double priority = 0.0;  ///< scheduler key (upward rank / work)
     std::size_t remaining_parents = 0;
@@ -170,9 +173,12 @@ class Simulation {
     bool running = false;
     bool done = false;
     std::size_t host = 0;
-    // I/O bookkeeping
-    std::deque<std::string> pending_reads;
-    std::deque<std::string> pending_writes;
+    // I/O bookkeeping: the task's input / output ids, each with a cursor to
+    // the next file to issue (cursor == size: nothing pending).
+    std::span<const wf::FileId> inputs;
+    std::span<const wf::FileId> outputs;
+    std::size_t next_read = 0;
+    std::size_t next_write = 0;
     std::size_t inflight_io = 0;
     TaskRecord record;
     // Resilience bookkeeping (only touched when the resil layer is active).
@@ -208,15 +214,18 @@ class Simulation {
   /// hooks). Every call site is wrapped in BBSIM_CRITPATH_HOOK.
   std::unique_ptr<critpath::Recorder> critpath_;
 
-  std::map<std::string, TaskState> states_;
-  std::vector<std::string> topo_order_;
+  std::vector<TaskState> states_;  ///< by task id; never resized after prepare()
+  /// Task ids in name order: every walk whose order reaches a report (kills,
+  /// results, critical-path input, timeline spans, the stall check).
+  std::vector<wf::TaskId> by_name_;
+  std::vector<wf::TaskId> topo_order_;
   std::vector<int> free_cores_;
-  std::deque<std::string> ready_queue_;
+  std::deque<wf::TaskId> ready_queue_;
   std::vector<std::string> staged_files_;
   /// Which staged files each stage-in task copies (the whole list for a
   /// single stage-in; partitioned by descendant consumers otherwise).
-  std::map<std::string, std::vector<std::string>> staged_by_task_;
-  std::map<std::string, std::size_t> staged_file_host_;  ///< file -> home host
+  std::map<wf::TaskId, std::vector<std::string>> staged_by_task_;
+  std::vector<std::size_t> staged_file_host_;  ///< by file id: home host
   std::size_t tasks_remaining_ = 0;
   std::size_t demoted_writes_ = 0;
   std::size_t skipped_stage_files_ = 0;
@@ -226,7 +235,7 @@ class Simulation {
   bool stage_in_seen_ = false;
   double stage_out_duration_ = 0.0;
   std::size_t evicted_files_ = 0;
-  std::map<std::string, double> last_access_;  ///< file -> last read time (LRU)
+  std::vector<double> last_access_;  ///< by file id: last read time (LRU), 0 = never
   bool ran_ = false;
 
   /// Live state of the failure injector / checkpoint machinery. Null unless
@@ -244,8 +253,33 @@ class Simulation {
   };
   std::unique_ptr<ResilState> resil_;
 
+  /// Exec's metrics counters. Each handle is resolved on its first bump, so
+  /// a counter that never moves stays out of the report.
+  enum class Stat : std::size_t {
+    kTasksCompleted,
+    kTaskWaitTime,
+    kTaskReadTime,
+    kTaskComputeTime,
+    kTaskWriteTime,
+    kDemotedWrites,
+    kSkippedStageIns,
+    kEvictions,
+    kNodeCrashes,
+    kFilesInvalidated,
+    kBbDegradations,
+    kPfsBrownouts,
+    kTasksKilled,
+    kRollbacks,
+    kCheckpoints,
+    kCount,
+  };
+  std::array<stats::Counter*, static_cast<std::size_t>(Stat::kCount)> stats_{};
+  stats::Histogram* queue_wait_ = nullptr;  ///< flow.queue_wait_seconds, lazily
+
   // ------------------------------------------------------------- phases
-  void prepare();                 ///< initial placement, pinning, readiness
+  /// Initial placement, pinning and readiness. `homes` are the pinning
+  /// homes when the caller already computed them (empty: compute here).
+  void prepare(std::vector<std::size_t> homes);
   void try_schedule();            ///< drain the ready queue onto free cores
   void start_task(TaskState& ts, std::size_t host);
   void run_stage_in(TaskState& ts);
@@ -268,9 +302,13 @@ class Simulation {
   /// Compute scheduler priorities for every task (policy-dependent).
   void compute_priorities();
   /// Insert into the ready queue respecting the scheduler policy.
-  void enqueue_ready(const std::string& task_name);
+  void enqueue_ready(wf::TaskId task);
   /// Drain BB-resident final outputs to the PFS (stage_out option).
   void run_stage_out();
+  /// Transfer files[index] BB -> PFS, then the next one; records the
+  /// stage-out duration after the last.
+  void drain_stage_out(std::shared_ptr<const std::vector<std::string>> files,
+                       std::size_t index, double start);
   /// Evict LRU staged inputs until `bytes` fit (bb_eviction option).
   bool try_evict(double bytes);
 
@@ -292,10 +330,10 @@ class Simulation {
   /// it re-runs, non-done children wait for it again, and lost inputs of
   /// its own are re-produced recursively.
   void rollback_task(TaskState& ts);
-  /// Re-produce `fname` if no replica survives anywhere (lineage recovery).
-  void ensure_file_available(const std::string& fname);
+  /// Re-produce the file if no replica survives anywhere (lineage recovery).
+  void ensure_file_available(wf::FileId file);
   /// A burst-buffer-only workflow file vanished with its node.
-  void on_file_lost(const std::string& fname);
+  void on_file_lost(wf::FileId file);
   bool host_available(std::size_t host) const;
   /// Queue the task's input reads (start_task tail; split out so a restart
   /// delay can precede it).
@@ -314,13 +352,15 @@ class Simulation {
 
   // ------------------------------------------------------------ helpers
   int cores_for(const wf::Task& task) const;
-  Tier output_tier(const TaskState& ts, const std::string& file_name) const;
+  Tier output_tier(const TaskState& ts, wf::FileId file) const;
   /// True when the BB has room for `bytes` more.
   bool bb_has_room(double bytes);
   storage::StorageService* bb() { return storage_.burst_buffer(); }
   void trace(TraceEventKind kind, const std::string& task, std::string detail = "");
-  /// Increment a named metrics counter (no-op when metrics are off).
-  void bump(const char* counter_name, double delta = 1.0);
+  /// Increment an exec metrics counter (no-op when metrics are off).
+  void bump(Stat stat, double delta = 1.0);
+  /// Record a transfer's wait in its task's I/O window (metrics on only).
+  void record_queue_wait(double seconds);
   double compute_duration(const TaskState& ts) const;
   Result collect_result();
 };

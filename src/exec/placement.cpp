@@ -16,7 +16,11 @@ const char* to_string(Tier tier) {
 namespace {
 /// True when `file_name` is a final product (no consumer).
 bool is_final_output(const wf::Workflow& w, const std::string& file_name) {
-  return w.consumers(file_name).empty();
+  return w.consumer_ids(w.file_id(file_name)).empty();
+}
+
+std::size_t consumer_count(const wf::Workflow& w, const std::string& file_name) {
+  return w.consumer_ids(w.file_id(file_name)).size();
 }
 }  // namespace
 
@@ -109,14 +113,14 @@ std::string LocalityPolicy::name() const {
 std::vector<std::string> LocalityPolicy::files_to_stage(const wf::Workflow& w) const {
   std::vector<std::string> out;
   for (const std::string& f : w.input_files()) {
-    if (w.consumers(f).size() <= max_consumers_) out.push_back(f);
+    if (consumer_count(w, f) <= max_consumers_) out.push_back(f);
   }
   return out;
 }
 
 Tier LocalityPolicy::place_output(const wf::Workflow& w, const std::string&,
                                   const std::string& file_name) const {
-  const std::size_t consumers = w.consumers(file_name).size();
+  const std::size_t consumers = consumer_count(w, file_name);
   if (consumers == 0) return Tier::PFS;  // final output
   return consumers <= max_consumers_ ? Tier::BurstBuffer : Tier::PFS;
 }
@@ -140,7 +144,7 @@ std::vector<std::string> GreedyBytesPolicy::files_to_stage(const wf::Workflow& w
   std::vector<Candidate> candidates;
   for (const std::string& f : w.input_files()) {
     const double size = w.file(f).size;
-    candidates.push_back({f, size * static_cast<double>(w.consumers(f).size()), size});
+    candidates.push_back({f, size * static_cast<double>(consumer_count(w, f)), size});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {

@@ -6,16 +6,32 @@
 // flops and an Amdahl non-parallelisable fraction alpha; the calibration
 // module (src/model) fills flops in from observed runtimes via the paper's
 // Equations (1)-(4).
+//
+// Tasks and files get dense ids in creation order. The structure (producer,
+// readers, parents, children, inputs, outputs) is compiled once into id rows
+// in compressed sparse row form, so the execution engine walks integers;
+// names are looked up only at the parse, trace and report boundaries.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace bbsim::wf {
+
+/// Dense task index: the task's position in creation order.
+using TaskId = std::uint32_t;
+/// Dense file index: the file's position in creation order.
+using FileId = std::uint32_t;
+/// No task (a workflow input's producer) / no file.
+inline constexpr std::uint32_t kNoId = std::numeric_limits<std::uint32_t>::max();
 
 /// A data product exchanged between tasks.
 struct File {
@@ -51,12 +67,17 @@ class Workflow {
   void add_task(Task task);
   /// Explicit control dependency (edge without a file).
   void add_control_dep(const std::string& parent, const std::string& child);
+  /// Control dependencies (parent, child) in the order they were added.
+  const std::vector<std::pair<std::string, std::string>>& control_deps() const {
+    return control_deps_;
+  }
 
   // -------------------------------------------------------------- lookups
   bool has_file(const std::string& file_name) const;
   bool has_task(const std::string& task_name) const;
   const File& file(const std::string& file_name) const;
   const Task& task(const std::string& task_name) const;
+  /// Mutable access to everything but the name (which keys the lookup).
   Task& task_mut(const std::string& task_name);
 
   /// Task names in creation order.
@@ -65,6 +86,30 @@ class Workflow {
   const std::vector<std::string>& file_names() const { return file_order_; }
   std::size_t task_count() const { return task_order_.size(); }
   std::size_t file_count() const { return file_order_.size(); }
+
+  // ------------------------------------------------------------ dense ids
+  /// Id of a task / file by name; NotFoundError when there is none.
+  TaskId task_id(const std::string& task_name) const;
+  FileId file_id(const std::string& file_name) const;
+  const Task& task_at(TaskId id) const { return tasks_[id]; }
+  const File& file_at(FileId id) const { return files_[id]; }
+
+  /// Id rows of the relation index. Every row keeps the order of its
+  /// by-name counterpart below; the spans stay valid until the next
+  /// mutation.
+  std::span<const TaskId> parent_ids(TaskId task) const;
+  std::span<const TaskId> child_ids(TaskId task) const;
+  /// Readers of a file in task order (a task listing it twice appears twice).
+  std::span<const TaskId> consumer_ids(FileId file) const;
+  /// Producer of a file, kNoId for workflow inputs.
+  TaskId producer_id(FileId file) const;
+  /// The task's Task::inputs / Task::outputs as file ids.
+  std::span<const FileId> input_ids(TaskId task) const;
+  std::span<const FileId> output_ids(TaskId task) const;
+  /// topological_order() as ids.
+  std::vector<TaskId> topological_ids() const;
+  /// All task ids sorted by task name: the order of every name-ordered walk.
+  std::vector<TaskId> task_ids_by_name() const;
 
   // ------------------------------------------------------------ structure
   /// Producer task of a file, or nullopt for workflow inputs.
@@ -87,7 +132,7 @@ class Workflow {
   std::vector<std::string> intermediate_files() const;
 
   /// Kahn topological order; throws InvariantError when the graph has a
-  /// cycle (naming one involved task).
+  /// cycle (naming the lexicographically first task left on it).
   std::vector<std::string> topological_order() const;
 
   /// Full structural validation: referenced files exist, single writer per
@@ -96,6 +141,7 @@ class Workflow {
   void validate() const;
 
   // ------------------------------------------------------------ aggregates
+  /// Summed in name order.
   double total_data_bytes() const;
   double total_flops() const;
   /// Sum of sizes of input_files().
@@ -105,22 +151,40 @@ class Workflow {
   std::size_t critical_path_length() const;
 
  private:
-  std::vector<std::string> task_order_;
+  std::vector<std::string> task_order_;  ///< names by id
   std::vector<std::string> file_order_;
-  std::map<std::string, Task> tasks_;
-  std::map<std::string, File> files_;
+  std::vector<Task> tasks_;  ///< by id
+  std::vector<File> files_;
+  std::unordered_map<std::string, TaskId> task_index_;  ///< lookup only
+  std::unordered_map<std::string, FileId> file_index_;  ///< lookup only
   std::vector<std::pair<std::string, std::string>> control_deps_;
 
-  // Cached derived indexes, rebuilt when the structure changes.
+  /// Compressed sparse rows: row r is items[offsets[r], offsets[r + 1]).
+  struct Rows {
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> items;
+    std::span<const std::uint32_t> row(std::size_t r) const {
+      return {items.data() + offsets[r], offsets[r + 1] - offsets[r]};
+    }
+  };
+  /// The relation index, built on first use after a mutation. Tie-breaks
+  /// downstream depend on its push order: readers in task order with
+  /// duplicate listings kept; edges de-duplicated in discovery order, file
+  /// edges (task order, then input order) before control dependencies.
   struct Index {
-    std::map<std::string, std::string> producer_of;          // file -> task
-    std::map<std::string, std::vector<std::string>> readers; // file -> tasks
-    std::map<std::string, std::vector<std::string>> parent_of;
-    std::map<std::string, std::vector<std::string>> child_of;
+    std::vector<TaskId> producer;  ///< by file
+    Rows readers;                  ///< file -> tasks
+    Rows parents;                  ///< task -> tasks
+    Rows children;                 ///< task -> tasks
+    Rows inputs;                   ///< task -> files
+    Rows outputs;                  ///< task -> files
   };
   mutable Index index_;
   mutable bool index_dirty_ = true;
   const Index& index() const;
+  TaskId find_task(const std::string& task_name) const;  ///< kNoId if absent
+  FileId find_file(const std::string& file_name) const;  ///< kNoId if absent
+  std::vector<std::string> task_names_of(std::span<const TaskId> ids) const;
 };
 
 }  // namespace bbsim::wf

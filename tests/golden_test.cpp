@@ -91,6 +91,69 @@ TEST(Golden, ToyScaleDagBitwise) {
   EXPECT_EQ(fnv1a(result.to_json().dump()), 12899978666560292770ULL);
 }
 
+// Fault-injected 1000Genomes runs with checkpoints, the critical-path pass
+// and the timeline on. 1000Genomes creates its tasks in an order that is
+// not their name order, and node crashes kill running tasks in name order:
+// a walk that slips into creation order (or any other) moves these report
+// and Perfetto hashes even where the makespan stays put. make_scale_dag
+// creates tasks in name order and cannot show such a slip. Values recorded
+// before the workflow core moved to dense ids.
+struct FaultCase {
+  const char* platform;
+  int nodes;
+  int seed;
+  double makespan;
+  std::uint64_t report_fnv;
+  std::uint64_t perfetto_fnv;
+};
+
+class GoldenFaults : public ::testing::TestWithParam<FaultCase> {};
+
+TEST_P(GoldenFaults, GenomesUnderNodeCrashesBitwise) {
+  const FaultCase& c = GetParam();
+  cli::CliOptions opt;
+  opt.platform = c.platform;
+  opt.workflow = "genomes";
+  opt.chromosomes = 1;
+  opt.nodes = c.nodes;
+  opt.faults = "node_mtbf=150,node_repair=20,horizon=2000,seed=" + std::to_string(c.seed);
+  opt.checkpoint = "interval=60,fraction=0.2";
+  opt.critpath = true;
+  exec::ExecutionConfig cfg = cli::execution_config(opt);
+  cfg.collect_timeline = true;
+  exec::Simulation sim(cli::resolve_platform(opt), cli::resolve_workflow(opt), cfg);
+  const exec::Result result = sim.run();
+  ASSERT_NE(result.resil_stats, nullptr);
+  EXPECT_GT(result.resil_stats->tasks_killed, 0);
+  EXPECT_EQ(result.makespan, c.makespan);
+  EXPECT_EQ(fnv1a(result.to_json().dump()), c.report_fnv);
+  ASSERT_NE(result.timeline, nullptr);
+  EXPECT_EQ(fnv1a(result.timeline->to_perfetto().dump()), c.perfetto_fnv);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, GoldenFaults,
+    ::testing::Values(
+        FaultCase{"summit", 2, 1, 625.67845999193378, 977810841191214014ULL,
+                  506050065806180640ULL},
+        FaultCase{"summit", 2, 2, 631.70804891069201, 3697434683500722706ULL,
+                  8781713520872672476ULL},
+        FaultCase{"summit", 2, 3, 1647.3657540830093, 4576522925462665197ULL,
+                  15335099744444378549ULL},
+        FaultCase{"summit", 2, 4, 732.66687573611352, 17966400264413593943ULL,
+                  15019042761508200009ULL},
+        FaultCase{"cori", 4, 1, 1080.2000322953577, 16194062081292654616ULL,
+                  11801189510345721167ULL},
+        FaultCase{"cori", 4, 2, 738.14185720052114, 15860295096541371712ULL,
+                  10518059436331606846ULL},
+        FaultCase{"cori", 4, 3, 1020.7289719442011, 10548942006902345745ULL,
+                  4321480145345943418ULL},
+        FaultCase{"cori", 4, 4, 720.5249180300633, 13869975395675335796ULL,
+                  16138848660157054492ULL}),
+    [](const ::testing::TestParamInfo<FaultCase>& info) {
+      return std::string(info.param.platform) + "_seed" + std::to_string(info.param.seed);
+    });
+
 TEST(Golden, TestbedNoiselessSwarpIsStable) {
   // The noiseless emulator is deterministic end to end.
   testbed::TestbedOptions opt;

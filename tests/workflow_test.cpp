@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <span>
 
 #include "json/json.hpp"
 #include "util/rng.hpp"
@@ -426,6 +429,208 @@ TEST(ScaleDag, PartialLastLevelStillValidates) {
   const Workflow w = make_scale_dag(cfg, rng);
   EXPECT_EQ(w.task_count(), 70u);
   EXPECT_NO_THROW(w.validate());
+}
+
+// ------------------------------------------------------------ dense ids
+
+/// The relation index as the string-keyed maps once built it: producers and
+/// readers in task order (duplicate listings kept), edges de-duplicated in
+/// discovery order (file edges in task and input order, then control
+/// dependencies). The id rows must reproduce it element for element.
+struct ReferenceIndex {
+  std::map<std::string, std::string> producer_of;
+  std::map<std::string, std::vector<std::string>> readers;
+  std::map<std::string, std::vector<std::string>> parent_of;
+  std::map<std::string, std::vector<std::string>> child_of;
+
+  explicit ReferenceIndex(const Workflow& w) {
+    for (const std::string& t : w.task_names()) {
+      for (const std::string& f : w.task(t).outputs) producer_of.emplace(f, t);
+      for (const std::string& f : w.task(t).inputs) readers[f].push_back(t);
+    }
+    for (const std::string& t : w.task_names()) {
+      for (const std::string& f : w.task(t).inputs) {
+        const auto p = producer_of.find(f);
+        if (p != producer_of.end() && p->second != t) add_edge(p->second, t);
+      }
+    }
+    for (const auto& [parent, child] : w.control_deps()) add_edge(parent, child);
+  }
+  void add_edge(const std::string& parent, const std::string& child) {
+    auto& kids = child_of[parent];
+    if (std::find(kids.begin(), kids.end(), child) != kids.end()) return;
+    kids.push_back(child);
+    parent_of[child].push_back(parent);
+  }
+  static std::vector<std::string> row(
+      const std::map<std::string, std::vector<std::string>>& m, const std::string& key) {
+    const auto it = m.find(key);
+    return it == m.end() ? std::vector<std::string>{} : it->second;
+  }
+};
+
+std::vector<std::string> task_names_of(const Workflow& w, std::span<const TaskId> ids) {
+  std::vector<std::string> out;
+  for (const TaskId id : ids) out.push_back(w.task_at(id).name);
+  return out;
+}
+
+std::vector<std::string> file_names_of(const Workflow& w, std::span<const FileId> ids) {
+  std::vector<std::string> out;
+  for (const FileId id : ids) out.push_back(w.file_at(id).name);
+  return out;
+}
+
+void expect_id_index_matches(const Workflow& w) {
+  w.validate();
+  const ReferenceIndex ref(w);
+  ASSERT_EQ(w.task_count(), w.task_names().size());
+  for (TaskId t = 0; t < w.task_count(); ++t) {
+    const std::string& name = w.task_names()[t];
+    ASSERT_EQ(w.task_id(name), t);
+    ASSERT_EQ(w.task_at(t).name, name);
+    const auto parents = task_names_of(w, w.parent_ids(t));
+    const auto children = task_names_of(w, w.child_ids(t));
+    EXPECT_EQ(parents, ReferenceIndex::row(ref.parent_of, name)) << name;
+    EXPECT_EQ(children, ReferenceIndex::row(ref.child_of, name)) << name;
+    EXPECT_EQ(parents, w.parents(name)) << name;
+    EXPECT_EQ(children, w.children(name)) << name;
+    EXPECT_EQ(file_names_of(w, w.input_ids(t)), w.task(name).inputs) << name;
+    EXPECT_EQ(file_names_of(w, w.output_ids(t)), w.task(name).outputs) << name;
+  }
+  ASSERT_EQ(w.file_count(), w.file_names().size());
+  for (FileId f = 0; f < w.file_count(); ++f) {
+    const std::string& name = w.file_names()[f];
+    ASSERT_EQ(w.file_id(name), f);
+    ASSERT_EQ(w.file_at(f).name, name);
+    const auto consumers = task_names_of(w, w.consumer_ids(f));
+    EXPECT_EQ(consumers, ReferenceIndex::row(ref.readers, name)) << name;
+    EXPECT_EQ(consumers, w.consumers(name)) << name;
+    const auto p = ref.producer_of.find(name);
+    if (p == ref.producer_of.end()) {
+      EXPECT_EQ(w.producer_id(f), kNoId) << name;
+      EXPECT_FALSE(w.producer(name).has_value()) << name;
+    } else {
+      ASSERT_NE(w.producer_id(f), kNoId) << name;
+      EXPECT_EQ(w.task_at(w.producer_id(f)).name, p->second) << name;
+      EXPECT_EQ(w.producer(name), p->second) << name;
+    }
+  }
+  EXPECT_EQ(task_names_of(w, w.topological_ids()), w.topological_order());
+  std::vector<std::string> sorted = w.task_names();
+  std::sort(sorted.begin(), sorted.end());
+  const auto by_name = w.task_ids_by_name();
+  EXPECT_EQ(task_names_of(w, by_name), sorted);
+}
+
+TEST(WorkflowIds, ShapedRandomDagsMatchTheNameIndex) {
+  for (const DagShape shape : {DagShape::Layered, DagShape::Chain, DagShape::FanOut,
+                               DagShape::FanIn, DagShape::ForkJoin}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      util::Rng rng(seed);
+      RandomDagConfig cfg;
+      cfg.levels = 5;
+      cfg.fan_in_probability = 0.5;
+      SCOPED_TRACE(util::format("shape %d seed %llu", static_cast<int>(shape),
+                                static_cast<unsigned long long>(seed)));
+      expect_id_index_matches(make_shaped_dag(shape, cfg, rng));
+    }
+  }
+}
+
+TEST(WorkflowIds, GeneratedWorkflowsMatchTheNameIndex) {
+  GenomesConfig genomes;
+  genomes.chromosomes = 2;
+  expect_id_index_matches(make_1000genomes(genomes));
+  SwarpConfig swarp;
+  swarp.pipelines = 3;
+  expect_id_index_matches(make_swarp(swarp));
+  expect_id_index_matches(make_montage({}));
+  util::Rng rng(5);
+  ScaleDagConfig scale;
+  scale.task_count = 300;
+  scale.width = 16;
+  expect_id_index_matches(make_scale_dag(scale, rng));
+}
+
+TEST(WorkflowIds, ControlDepsAndDuplicateListingsMatchTheNameIndex) {
+  // Created out of name order; "mid" lists "shared" twice; one control
+  // dependency repeats a file edge, one repeats another control dependency.
+  Workflow w;
+  for (const char* f : {"raw", "shared", "out_z", "out_mid", "final"}) w.add_file({f, 8});
+  w.add_task({"z_src", "t", 1, 0, 1, {"raw"}, {"shared", "out_z"}});
+  w.add_task({"mid", "t", 1, 0, 1, {"shared", "out_z", "shared"}, {"out_mid"}});
+  w.add_task({"a_sink", "t", 1, 0, 1, {"out_mid", "shared"}, {"final"}});
+  w.add_task({"b_side", "t", 1, 0, 1, {}, {}});
+  w.add_control_dep("b_side", "mid");
+  w.add_control_dep("z_src", "mid");
+  w.add_control_dep("b_side", "a_sink");
+  w.add_control_dep("b_side", "mid");
+  expect_id_index_matches(w);
+  const TaskId mid = w.task_id("mid");
+  EXPECT_EQ(task_names_of(w, w.parent_ids(mid)),
+            (std::vector<std::string>{"z_src", "b_side"}));
+  EXPECT_EQ(task_names_of(w, w.consumer_ids(w.file_id("shared"))),
+            (std::vector<std::string>{"mid", "mid", "a_sink"}));
+  EXPECT_THROW((void)w.task_id("ghost"), util::NotFoundError);
+  EXPECT_THROW((void)w.file_id("ghost"), util::NotFoundError);
+}
+
+// Pins recorded before the core moved to dense ids: the cycle error names
+// the lexicographically first task left, the aggregates sum in name order,
+// and the relation lists of a workflow created out of name order keep their
+// order.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(WorkflowIds, CycleErrorNamesTheFirstTaskLeftByName) {
+  Workflow w;
+  w.name = "loop";
+  w.add_file({"x", 1});
+  w.add_file({"y", 1});
+  w.add_file({"z", 1});
+  w.add_task({"q_entry", "t", 1, 0, 1, {}, {"z"}});
+  w.add_task({"p", "t", 1, 0, 1, {"z", "y"}, {"x"}});
+  w.add_task({"k", "t", 1, 0, 1, {"x"}, {"y"}});
+  try {
+    (void)w.topological_order();
+    FAIL() << "cycle not detected";
+  } catch (const util::InvariantError& e) {
+    EXPECT_EQ(std::string(e.what()), "invariant violated: workflow 'loop' has a cycle involving task 'k'");
+  }
+}
+
+TEST(WorkflowIds, AggregatesSumInNameOrderBitwise) {
+  const Workflow genomes = make_1000genomes({});
+  EXPECT_EQ(genomes.total_data_bytes(), 67512000000.0);
+  EXPECT_EQ(genomes.total_flops(), 7396358400000000.0);
+  util::Rng rng(3);
+  RandomDagConfig cfg;
+  cfg.levels = 6;
+  const Workflow layered = make_random_layered(cfg, rng);
+  EXPECT_EQ(layered.total_data_bytes(), 1089425622.1501062);
+  EXPECT_EQ(layered.total_flops(), 12260783113299.801);
+}
+
+TEST(WorkflowIds, RelationListsOfGenomesKeepTheirOrder) {
+  GenomesConfig cfg;
+  cfg.chromosomes = 2;
+  const Workflow w = make_1000genomes(cfg);
+  std::string text;
+  for (const std::string& t : w.task_names()) {
+    text += t + ":";
+    for (const std::string& p : w.parents(t)) text += p + ",";
+    text += "|";
+    for (const std::string& c : w.children(t)) text += c + ",";
+    text += "\n";
+  }
+  EXPECT_EQ(fnv1a(text), 213119735955767394ULL);
 }
 
 }  // namespace
