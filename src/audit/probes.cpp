@@ -1,5 +1,6 @@
 #include "audit/probes.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -8,11 +9,20 @@
 namespace bbsim::audit {
 
 namespace {
-/// Absolute slack for double accounting comparisons: well below one byte,
-/// well above accumulated rounding over millions of operations.
+/// Absolute slack for double accounting comparisons near zero: well below
+/// one byte.
 constexpr double kBytesTolerance = 1e-6;
+/// Relative slack: at multi-GiB occupancy one ulp alone is ~5e-7 bytes, so
+/// sums built in different orders (the service's running total against the
+/// sum of its replicas) differ by several ulps without any byte going
+/// missing. 1e-12 of the magnitude is ~4,500 ulps, yet stays below one
+/// byte up to 1 TB of occupancy.
+constexpr double kBytesRelTolerance = 1e-12;
 
-bool close(double a, double b) { return std::abs(a - b) <= kBytesTolerance; }
+bool close(double a, double b) {
+  const double scale = std::max(std::abs(a), std::abs(b));
+  return std::abs(a - b) <= std::max(kBytesTolerance, kBytesRelTolerance * scale);
+}
 }  // namespace
 
 // ------------------------------------------------------------ EngineProbe

@@ -94,7 +94,6 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
     fabric_.flows().set_profiler(profiler_.get());
     placement_profile_ = profiler_->section("exec.placement");
   }
-#if defined(BBSIM_AUDIT_ENABLED)
   if (config_.audit) {
     auditor_ = std::make_unique<audit::Auditor>();
     engine_probe_ = std::make_unique<audit::EngineProbe>(*auditor_);
@@ -111,12 +110,9 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
         });
     if (metrics_) auditor_->set_metrics(metrics_.get());
   }
-#endif
-#if defined(BBSIM_CRITPATH_ENABLED)
   if (config_.critpath) {
     critpath_ = std::make_unique<critpath::Recorder>();
   }
-#endif
 }
 
 void Simulation::bump(Stat stat, double delta) {
@@ -233,11 +229,11 @@ void Simulation::prepare(std::vector<std::size_t> homes) {
       st.record.t_ready = fabric_.engine().now();
       enqueue_ready(id);
       trace(TraceEventKind::TaskReady, st.task->name);
-      BBSIM_CRITPATH_HOOK(if (critpath_) {
+      if (critpath_) {
         critpath_->record_ready(
             st.task->name, st.record.t_ready,
             {critpath::ReadyCause::Kind::kWorkflowStart, {}});
-      });
+      }
     }
   }
   setup_resil();
@@ -346,9 +342,9 @@ void Simulation::start_task(TaskState& ts, std::size_t host) {
     const double delay = config_.checkpoint.restart_latency;
     if (delay > 0.0) {
       // Restart overhead: re-launch plus reading the checkpoint image back.
-      BBSIM_CRITPATH_HOOK(if (critpath_) {
+      if (critpath_) {
         critpath_->record_restart_delay(ts.task->name, delay);
-      });
+      }
       ts.event_pending = true;
       ts.pending_event = fabric_.engine().schedule_in(delay, [this, &ts] {
         ts.event_pending = false;
@@ -500,10 +496,10 @@ void Simulation::issue_reads(TaskState& ts) {
     last_access_[fid] = fabric_.engine().now();  // LRU bookkeeping
     const storage::FileRef file{fname, workflow_.file_at(fid).size};
     ts.record.bytes_read += file.size;
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_read_bytes(ts.task->name, file.size,
                                    src != &storage_.pfs());
-    });
+    }
     // How long this transfer waited in the task's pending queue (the
     // paper's I/O window is `cores` concurrent files).
     record_queue_wait(fabric_.engine().now() - ts.record.t_start);
@@ -633,11 +629,11 @@ void Simulation::take_checkpoint(TaskState& ts) {
         s.checkpoint_bytes_written += bytes;
         s.checkpoint_core_seconds +=
             ts.cores * (fabric_.engine().now() - ts.ckpt_write_start);
-        BBSIM_CRITPATH_HOOK(if (critpath_) {
+        if (critpath_) {
           critpath_->record_ckpt_stall(
               ts.task->name, fabric_.engine().now() - ts.ckpt_write_start,
               to_bb);
-        });
+        }
         if (to_bb) {
           // Asynchronous drain: the image only protects against node loss
           // once its PFS copy exists; compute resumes immediately.
@@ -724,10 +720,10 @@ void Simulation::issue_writes(TaskState& ts) {
         tier == Tier::BurstBuffer ? *storage_.burst_buffer() : storage_.pfs();
     const storage::FileRef file{fname, workflow_.file_at(fid).size};
     ts.record.bytes_written += file.size;
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_write_bytes(ts.task->name, file.size,
                                     tier == Tier::BurstBuffer);
-    });
+    }
     record_queue_wait(fabric_.engine().now() - ts.record.t_compute_done);
     trace(TraceEventKind::Write, ts.task->name,
           util::format("%s -> %s", fname.c_str(), dst.name().c_str()));
@@ -778,11 +774,11 @@ void Simulation::finish_task(TaskState& ts) {
       cs.record.t_ready = fabric_.engine().now();
       enqueue_ready(child);
       trace(TraceEventKind::TaskReady, cs.task->name);
-      BBSIM_CRITPATH_HOOK(if (critpath_) {
+      if (critpath_) {
         critpath_->record_ready(
             cs.task->name, cs.record.t_ready,
             {critpath::ReadyCause::Kind::kParent, ts.task->name});
-      });
+      }
     }
   }
   if (tasks_remaining_ == 0 && config_.stage_out) {
@@ -1035,10 +1031,10 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   resil::TaskResil& tr = stats.tasks[ts.task->name];
   ++tr.kills;
   tr.lost_core_seconds += lost;
-  BBSIM_CRITPATH_HOOK(if (critpath_) {
+  if (critpath_) {
     critpath_->record_abort(ts.task->name, ts.record.t_ready,
                             ts.record.t_start, now);
-  });
+  }
   if (ts.event_pending) {
     fabric_.engine().cancel(ts.pending_event);
     ts.event_pending = false;
@@ -1074,10 +1070,10 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
     ts.record.t_ready = now;
     enqueue_ready(ts.id);
     trace(TraceEventKind::TaskReady, ts.task->name);
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_ready(ts.task->name, now,
                               {critpath::ReadyCause::Kind::kRequeue, {}});
-    });
+    }
   } else {
     ts.ready = false;
   }
@@ -1101,12 +1097,12 @@ void Simulation::rollback_task(TaskState& ts) {
   ++ts.attempt;
   ts.ckpt_durable = 0.0;  // its checkpoints were deleted when it finished
   ts.compute_done = 0.0;
-  BBSIM_CRITPATH_HOOK(if (critpath_) {
+  if (critpath_) {
     // The completed attempt (and the dead time until this crash) becomes
     // rework on the causal chain.
     critpath_->record_abort(ts.task->name, ts.record.t_ready,
                             ts.record.t_start, now);
-  });
+  }
   ts.record.bytes_read = 0.0;
   ts.record.bytes_written = 0.0;
   trace(TraceEventKind::Rollback, ts.task->name,
@@ -1136,10 +1132,10 @@ void Simulation::rollback_task(TaskState& ts) {
     ts.record.t_ready = now;
     enqueue_ready(ts.id);
     trace(TraceEventKind::TaskReady, ts.task->name);
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_ready(ts.task->name, now,
                               {critpath::ReadyCause::Kind::kRollback, {}});
-    });
+    }
   } else {
     ts.ready = false;
   }
@@ -1379,9 +1375,9 @@ Result Simulation::run() {
     chain->files = &staged_files_;
     pump_stage_chain(chain);
     fabric_.engine().run();
-    BBSIM_CRITPATH_HOOK(if (critpath_) {
+    if (critpath_) {
       critpath_->record_implicit_stage(0.0, fabric_.engine().now());
-    });
+    }
     // Inputs are now placed: the rest of the run sees an empty staging plan
     // (intermediates still follow the policy).
     staged_files_.clear();

@@ -107,15 +107,14 @@ struct ExecutionConfig {
   /// simulation, the flow network is certified max-min fair after every
   /// solve, and the finished Result is cross-checked. Violations are
   /// collected (never thrown) and exported as Result::audit (schema
-  /// bbsim.audit.v1). Requires a build with BBSIM_AUDIT=ON (the default);
-  /// ignored otherwise.
+  /// bbsim.audit.v1). Off, each hook costs one null-pointer test.
   bool audit = false;
   /// Record the causal event graph (readiness causes, aborted attempts,
   /// per-tier byte mixes, checkpoint stalls) into a critpath::Recorder and
   /// run the post-run critical-path / blame-attribution pass, exported as
-  /// Result::critpath (schema bbsim.critpath.v1). Requires a build with
-  /// BBSIM_CRITPATH=ON (the default); ignored otherwise. Off by default:
-  /// a run without it is bitwise-identical to one predating the layer.
+  /// Result::critpath (schema bbsim.critpath.v1). Off by default: each
+  /// hook then costs one null-pointer test and the run is
+  /// bitwise-identical to one predating the layer.
   bool critpath = false;
   /// Multiplier applied to every compute duration (testbed noise hook).
   std::function<double(const wf::Task&, std::size_t host)> compute_noise;
@@ -148,11 +147,9 @@ class Simulation {
   trace::TimelineRecorder* timeline_recorder() { return timeline_rec_.get(); }
   /// The live wall-clock profiler; nullptr unless config.profile.
   trace::Profiler* profiler() { return profiler_.get(); }
-  /// The live invariant auditor; nullptr unless config.audit (or when the
-  /// build compiled the hooks out, BBSIM_AUDIT=OFF).
+  /// The live invariant auditor; nullptr unless config.audit.
   audit::Auditor* auditor() { return auditor_.get(); }
-  /// The live critical-path recorder; nullptr unless config.critpath (or
-  /// when the build compiled the hooks out, BBSIM_CRITPATH=OFF).
+  /// The live critical-path recorder; nullptr unless config.critpath.
   critpath::Recorder* critpath_recorder() { return critpath_.get(); }
 
   /// Runs to completion and returns the records. Callable once.
@@ -210,8 +207,8 @@ class Simulation {
   std::unique_ptr<audit::Auditor> auditor_;
   std::unique_ptr<audit::EngineProbe> engine_probe_;
   std::unique_ptr<audit::StorageProbe> storage_probe_;
-  /// Causal event recorder (set iff config.critpath and the build has the
-  /// hooks). Every call site is wrapped in BBSIM_CRITPATH_HOOK.
+  /// Causal event recorder (set iff config.critpath). Every call site
+  /// null-checks it.
   std::unique_ptr<critpath::Recorder> critpath_;
 
   std::vector<TaskState> states_;  ///< by task id; never resized after prepare()

@@ -262,7 +262,7 @@ int Network::solve() {
     flows_resolved_->add(static_cast<double>(closure_flows_.size()));
   }
   if (rounds_hist_ != nullptr) rounds_hist_->record(static_cast<double>(rounds));
-  BBSIM_AUDIT_HOOK(if (post_solve_) post_solve_(*this, rounds));
+  if (post_solve_) post_solve_(*this, rounds);
   return rounds;
 }
 

@@ -185,7 +185,7 @@ class Network {
 
   /// Install a hook invoked after every solve() (nullptr/default-empty
   /// disables). The audit layer uses it to certify each converged
-  /// allocation; call sites compile out when BBSIM_AUDIT=OFF.
+  /// allocation; with no hook installed a solve pays one empty test.
   void set_post_solve_hook(PostSolveHook hook) { post_solve_ = std::move(hook); }
 
  private:

@@ -51,7 +51,7 @@ EventId Engine::schedule_at(Time t, EventHandler fn) {
   const EventId id = next_id_++;
   queue_.push(EventRecord{t, next_seq_++, id});
   handlers_.emplace(id, std::move(fn));
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_scheduled(id, now_, t));
+  if (observer_ != nullptr) observer_->on_scheduled(id, now_, t);
   if (events_scheduled_ != nullptr) {
     events_scheduled_->add(1.0);
     queue_depth_->set(static_cast<double>(pending_count()));
@@ -76,7 +76,7 @@ bool Engine::cancel(EventId id) {
         [this](EventId eid) { return handlers_.count(eid) != 0; });
     tombstones_ = 0;
   }
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_cancelled(id));
+  if (observer_ != nullptr) observer_->on_cancelled(id);
   if (events_cancelled_ != nullptr) {
     events_cancelled_->add(1.0);
     queue_depth_->set(static_cast<double>(pending_count()));
@@ -104,7 +104,7 @@ void Engine::execute(const EventRecord& r) {
   EventHandler fn = std::move(it->second);
   handlers_.erase(it);
   ++executed_;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_executed(r.id, r.time));
+  if (observer_ != nullptr) observer_->on_executed(r.id, r.time);
   if (events_executed_ != nullptr) {
     events_executed_->add(1.0);
     queue_depth_->set(static_cast<double>(pending_count()));

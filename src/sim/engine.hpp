@@ -43,8 +43,8 @@ using EventHandler = std::function<void()>;
 
 /// Observer of the engine's event lifecycle, for invariant auditing
 /// (src/audit installs one when auditing is on). Callbacks fire inline on
-/// the simulation path; implementations must not mutate the engine. The
-/// call sites compile out entirely when BBSIM_AUDIT=OFF.
+/// the simulation path; implementations must not mutate the engine. With
+/// no observer installed each call site costs one null-pointer test.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;

@@ -184,9 +184,9 @@ void StorageService::reserve_capacity(const FileRef& file) {
   }
   used_bytes_ += delta;
   if (used_bytes_ > peak_used_bytes_) peak_used_bytes_ = used_bytes_;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) {
+  if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file.name, delta, used_bytes_);
-  });
+  }
   sample_occupancy();
 }
 
@@ -196,7 +196,7 @@ void StorageService::install_replica(const FileRef& file, std::size_t host_idx) 
   rep.node = placement_node(file, host_idx);
   rep.creator_host = host_idx;
   replicas_[file.name] = rep;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) observer_->on_replica_created(*this, file));
+  if (observer_ != nullptr) observer_->on_replica_created(*this, file);
 }
 
 void StorageService::register_file(const FileRef& file, std::size_t host_idx) {
@@ -210,10 +210,10 @@ void StorageService::erase_file(const std::string& file_name) {
   const double size = it->second.size;
   used_bytes_ -= size;
   replicas_.erase(it);
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) {
+  if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file_name, -size, used_bytes_);
     observer_->on_replica_erased(*this, file_name, size);
-  });
+  }
   sample_occupancy();
 }
 
@@ -316,9 +316,9 @@ void StorageService::abort_write_reservation(const FileRef& file) {
   const auto it = replicas_.find(file.name);
   if (it != replicas_.end()) delta -= it->second.size;
   used_bytes_ -= delta;
-  BBSIM_AUDIT_HOOK(if (observer_ != nullptr) {
+  if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file.name, -delta, used_bytes_);
-  });
+  }
   sample_occupancy();
 }
 

@@ -134,7 +134,8 @@ class StorageService;
 /// Observer of a storage service's capacity accounting and replica
 /// lifecycle, for invariant auditing (src/audit installs one when auditing
 /// is on). Callbacks fire inline; implementations must not mutate the
-/// service. Call sites compile out when BBSIM_AUDIT=OFF.
+/// service. With no observer installed each call site costs one
+/// null-pointer test.
 class StorageObserver {
  public:
   virtual ~StorageObserver() = default;

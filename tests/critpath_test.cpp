@@ -318,7 +318,6 @@ TEST(CritpathExec, OffByDefaultLeavesNoReportSection) {
   EXPECT_FALSE(r.to_json().contains("critpath"));
 }
 
-#if defined(BBSIM_CRITPATH_ENABLED)
 
 /// The report document with the opt-in "critpath" key removed — the rest
 /// must be bitwise-identical to a run that never had the recorder.
@@ -514,7 +513,6 @@ TEST(CritpathExec, SweepReportByteIdenticalAcrossJobs1And8) {
   EXPECT_EQ(critpath_sweep_dump(/*jobs=*/8), serial);
 }
 
-#endif  // BBSIM_CRITPATH_ENABLED
 
 }  // namespace
 }  // namespace bbsim::critpath

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "cli/options.hpp"
@@ -107,6 +108,13 @@ struct FaultCase {
   std::uint64_t perfetto_fnv;
 };
 
+// Without a PrintTo, gtest prints a parameter as its raw bytes, and the
+// platform pointer's bytes move with the load address: the ctest names that
+// carry "# GetParam() = ..." would change from one build to the next.
+void PrintTo(const FaultCase& c, std::ostream* os) {
+  *os << c.platform << " nodes=" << c.nodes << " seed=" << c.seed;
+}
+
 class GoldenFaults : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(GoldenFaults, GenomesUnderNodeCrashesBitwise) {
@@ -150,8 +158,9 @@ INSTANTIATE_TEST_SUITE_P(
                   4321480145345943418ULL},
         FaultCase{"cori", 4, 4, 720.5249180300633, 13869975395675335796ULL,
                   16138848660157054492ULL}),
-    [](const ::testing::TestParamInfo<FaultCase>& info) {
-      return std::string(info.param.platform) + "_seed" + std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<FaultCase>& case_info) {
+      return std::string(case_info.param.platform) + "_seed" +
+             std::to_string(case_info.param.seed);
     });
 
 TEST(Golden, TestbedNoiselessSwarpIsStable) {

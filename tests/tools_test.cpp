@@ -107,7 +107,6 @@ TEST(RunCli, AuditFlagsParse) {
   }
 }
 
-#if defined(BBSIM_AUDIT_ENABLED)
 TEST(RunCli, AuditedRunIsCleanAndWritesReport) {
   const std::string path = ::testing::TempDir() + "/bbsim_cli_audit.json";
   cli::CliOptions opt;
@@ -120,6 +119,24 @@ TEST(RunCli, AuditedRunIsCleanAndWritesReport) {
   EXPECT_EQ(report.at("schema").as_string(), "bbsim.audit.v1");
   EXPECT_TRUE(report.at("clean").as_bool());
   EXPECT_EQ(report.at("total_violations").as_number(), 0.0);
+}
+
+TEST(RunCli, CritpathRunWritesReport) {
+  const std::string dir = ::testing::TempDir();
+  cli::CliOptions opt;
+  opt.quiet = true;
+  opt.pipelines = 2;
+  opt.critpath = true;
+  opt.critpath_path = dir + "/bbsim_cli_critpath.json";
+  opt.trace_path = dir + "/bbsim_cli_critpath_trace.json";
+  EXPECT_EQ(cli::run_cli(opt), 0);
+  const json::Value report = json::parse(slurp(opt.critpath_path));
+  EXPECT_EQ(report.at("schema").as_string(), "bbsim.critpath.v1");
+  const double makespan =
+      json::parse(slurp(opt.trace_path)).at("makespan").as_number();
+  ASSERT_GT(makespan, 0.0);
+  EXPECT_NEAR(report.at("path_length").as_number(), makespan, 1e-9 * makespan);
+  EXPECT_EQ(report.at("makespan").as_number(), makespan);
 }
 
 TEST(RunCli, AuditedTestbedRepetitionsReturnZero) {
@@ -136,7 +153,6 @@ TEST(MainImpl, AuditSmokeRun) {
                         "--chromosomes", "2", "--audit"};
   EXPECT_EQ(cli::main_impl(7, argv), 0);
 }
-#endif  // BBSIM_AUDIT_ENABLED
 
 TEST(MainImpl, BadFlagReturnsNonZero) {
   const char* argv[] = {"bbsim_run", "--bogus"};
