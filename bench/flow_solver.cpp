@@ -12,7 +12,7 @@
 //   * a few sampled steps also run the long-double oracle
 //     (oracle::reference_maxmin) over the whole window;
 //   * an engine-driven phase times end-to-end event dispatch through
-//     FlowManager + the calendar queue.
+//     FlowManager + the engine's event heap.
 //
 // Writes BENCH_flow_solver.json (schema bbsim.bench.flow_solver.v1) -- the
 // trajectory later PRs must not regress (tools/check_bench_regression.py).
@@ -290,7 +290,7 @@ json::Value run_tier(const Tier& tier) {
   const double churn_seconds = seconds_since(t_churn) - referee_seconds;
 
   // End-to-end engine phase: the same transfers driven through FlowManager
-  // completions, exercising the calendar queue's schedule/cancel churn.
+  // completions, exercising the event heap's schedule/cancel churn.
   const std::size_t engine_flows = std::min<std::size_t>(plans.size(), 200000);
   sim::Engine engine;
   flow::FlowManager fm(engine);

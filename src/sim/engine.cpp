@@ -9,6 +9,15 @@
 
 namespace bbsim::sim {
 
+namespace {
+// The std::*_heap algorithms keep the greatest element on top, so ordering
+// by "later" puts the earliest (time, id) record there.
+bool later(const EventRecord& a, const EventRecord& b) {
+  if (a.time != b.time) return a.time > b.time;
+  return a.id > b.id;
+}
+}  // namespace
+
 void Engine::set_metrics(stats::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     events_scheduled_ = nullptr;
@@ -49,7 +58,7 @@ EventId Engine::schedule_at(Time t, EventHandler fn) {
                                " is in the past (now=" + std::to_string(now_) + ")");
   }
   const EventId id = next_id_++;
-  queue_.push(EventRecord{t, next_seq_++, id});
+  push(EventRecord{t, id});
   handlers_.emplace(id, std::move(fn));
   if (observer_ != nullptr) observer_->on_scheduled(id, now_, t);
   if (events_scheduled_ != nullptr) {
@@ -72,8 +81,10 @@ bool Engine::cancel(EventId id) {
   // the stored size proportional to the live size. The +64 slack keeps
   // small queues from compacting on every other cancellation.
   if (tombstones_ > handlers_.size() + 64) {
-    queue_.remove_if_not(
-        [this](EventId eid) { return handlers_.count(eid) != 0; });
+    std::erase_if(queue_, [this](const EventRecord& r) {
+      return handlers_.count(r.id) == 0;
+    });
+    std::make_heap(queue_.begin(), queue_.end(), later);
     tombstones_ = 0;
   }
   if (observer_ != nullptr) observer_->on_cancelled(id);
@@ -88,8 +99,16 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
+void Engine::push(const EventRecord& r) {
+  queue_.push_back(r);
+  std::push_heap(queue_.begin(), queue_.end(), later);
+}
+
 bool Engine::pop_live(EventRecord& out) {
-  while (queue_.pop_min(out)) {
+  while (!queue_.empty()) {
+    std::pop_heap(queue_.begin(), queue_.end(), later);
+    out = queue_.back();
+    queue_.pop_back();
     if (handlers_.count(out.id) != 0) return true;
     if (tombstones_ > 0) --tombstones_;  // lazily discarded cancellation
   }
@@ -136,7 +155,7 @@ bool Engine::run_until(Time t) {
   EventRecord r{};
   while (pop_live(r)) {
     if (r.time > t) {
-      queue_.push(r);  // keeps its original seq: ordering is unchanged
+      push(r);  // keeps its original id: ordering is unchanged
       now_ = t;
       return true;
     }

@@ -1,26 +1,26 @@
 // bbsim -- discrete-event simulation kernel.
 //
 // A minimal, deterministic event engine in the style of SimGrid's kernel:
-// a virtual clock and a calendar queue (event_queue.hpp) of timestamped
-// events. Everything above (flows, storage services, the workflow engine)
-// is driven by callbacks scheduled here.
+// a virtual clock and a binary min-heap of timestamped events. Everything
+// above (flows, storage services, the workflow engine) is driven by
+// callbacks scheduled here.
 //
-// Determinism: ties in time are broken by insertion order (a monotonically
-// increasing sequence number), so two runs of the same program produce the
-// same event interleaving.
+// Determinism: the heap orders events by (time, id), and ids are issued in
+// scheduling order, so ties in time break FIFO and two runs of the same
+// program produce the same event interleaving.
 //
 // Cancellation is lazy: cancel() drops the handler immediately (so
 // pending_count() is always the live count) and leaves a tombstone record
-// in the queue, discarded when popped; when tombstones outnumber live
-// events the queue is compacted in one O(stored) pass.
+// in the heap, discarded when popped; when tombstones outnumber live
+// events the heap is compacted and re-heapified in one O(stored) pass.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "util/error.hpp"
 
 namespace bbsim::stats {
@@ -36,6 +36,19 @@ class Profiler;
 }  // namespace bbsim::trace
 
 namespace bbsim::sim {
+
+/// Simulated time in seconds.
+using Time = double;
+
+/// Handle for a scheduled event, usable with Engine::cancel().
+using EventId = std::uint64_t;
+
+/// One pending event: absolute timestamp and handler key. Ids rise with
+/// scheduling order, so ordering by (time, id) breaks ties FIFO.
+struct EventRecord {
+  Time time = 0.0;
+  EventId id = 0;
+};
 
 /// Callback invoked when an event fires. It runs at `Engine::now()` equal to
 /// the event's timestamp and may schedule further events.
@@ -76,7 +89,9 @@ class Engine {
   EventId schedule_at(Time t, EventHandler fn);
 
   /// Schedule `fn` after a delay of `dt` seconds (must be >= 0).
-  EventId schedule_in(Time dt, EventHandler fn) { return schedule_at(now_ + dt, fn); }
+  EventId schedule_in(Time dt, EventHandler fn) {
+    return schedule_at(now_ + dt, std::move(fn));
+  }
 
   /// Cancel a pending event. Cancelling an already-fired or already-cancelled
   /// event is a harmless no-op (returns false).
@@ -119,10 +134,10 @@ class Engine {
 
  private:
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::size_t executed_ = 0;
-  CalendarQueue queue_;
+  /// Min-heap on (time, id) under std::push_heap/pop_heap.
+  std::vector<EventRecord> queue_;
   std::unordered_map<EventId, EventHandler> handlers_;
   /// Cancelled records still sitting in queue_; compacted when they
   /// outnumber the live events (plus slack, so small queues never compact).
@@ -142,6 +157,7 @@ class Engine {
   std::size_t queue_track_ = 0;
   trace::ProfileSection* dispatch_profile_ = nullptr;
 
+  void push(const EventRecord& r);
   /// Pops the next live record (discarding tombstones) or returns false.
   bool pop_live(EventRecord& out);
   /// Advances the clock to `r.time` and runs its handler.

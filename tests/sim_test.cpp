@@ -2,13 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "stats/metrics.hpp"
 #include "util/error.hpp"
 
@@ -246,9 +244,9 @@ TEST(Engine, CancelHeavyChurnExecutesSurvivorsInOrder) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-TEST(Engine, CalendarHandlesClusteredAndFarApartTimes) {
-  // Sub-nanosecond clusters next to year-scale gaps exercise the calendar's
-  // rebuild and direct-search fallback paths; ordering must survive.
+TEST(Engine, ClusteredAndFarApartTimesPopInOrder) {
+  // Sub-nanosecond clusters next to year-scale gaps, pushed out of order:
+  // ordering must survive.
   Engine e;
   double last = -1.0;
   bool monotone = true;
@@ -266,41 +264,6 @@ TEST(Engine, CalendarHandlesClusteredAndFarApartTimes) {
   EXPECT_EQ(e.executed_count(), 1500u);
 }
 
-TEST(CalendarQueue, ShrinkRebuildMovingEverythingToFarHeapStillPops) {
-  // Regression: a shrink rebuild re-derives the bucket width from the
-  // survivors' time span. When the only survivors are a 1-ulp-wide cluster
-  // at a large timestamp, the re-derived width is so small that every
-  // survivor's day index overflows 2^53 and the whole pending set lands in
-  // the far_ overflow heap -- the calendar-empty case must be re-checked
-  // after the rebuild or the fallback scan reads past the bucket array.
-  CalendarQueue q;
-  std::uint64_t seq = 0;
-  auto push = [&](double t) {
-    EventRecord r;
-    r.time = t;
-    r.seq = seq++;
-    r.id = seq;
-    q.push(r);
-  };
-  // 500 spread records grow the calendar well past kMinBuckets, so popping
-  // them back out triggers the shrink-rebuild cascade.
-  for (int i = 0; i < 500; ++i) push(static_cast<double>(i));
-  const double t0 = 1.0e6;
-  for (int i = 0; i < 7; ++i) push(t0);
-  push(std::nextafter(t0, 2.0 * t0));
-
-  EventRecord r;
-  double last = -1.0;
-  std::size_t popped = 0;
-  while (q.pop_min(r)) {
-    EXPECT_GE(r.time, last);
-    last = r.time;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 508u);
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(Engine, FifoAmongEqualTimestampsSurvivesCancelChurn) {
   Engine e;
   std::vector<int> order;
@@ -314,6 +277,35 @@ TEST(Engine, FifoAmongEqualTimestampsSurvivesCancelChurn) {
   for (std::size_t k = 0; k + 1 < order.size(); ++k) {
     EXPECT_LT(order[k], order[k + 1]);  // insertion order among equal times
   }
+}
+
+TEST(Engine, FifoAmongEqualTimestampsSurvivesCompactionAndRunUntil) {
+  // A tie group at t=5 interleaved with cancelled events at t=5 and t=7:
+  // the cancellations pass the compaction threshold (tombstones > live +
+  // 64), so the heap is rebuilt from a filtered vector. run_until(4.999)
+  // then pops the first tie record and pushes it back. Survivors must
+  // still run in schedule order, which a heap comparing on time alone
+  // does not guarantee.
+  Engine e;
+  std::vector<int> order;
+  std::vector<EventId> doomed;
+  for (int i = 0; i < 100; ++i) {
+    e.schedule_at(5.0, [&order, i] { order.push_back(i); });
+    doomed.push_back(e.schedule_at(5.0, [] {}));
+    doomed.push_back(e.schedule_at(7.0, [] {}));
+    doomed.push_back(e.schedule_at(7.0, [] {}));
+  }
+  for (const EventId id : doomed) EXPECT_TRUE(e.cancel(id));
+  EXPECT_EQ(e.pending_count(), 100u);
+
+  EXPECT_TRUE(e.run_until(4.999));
+  EXPECT_DOUBLE_EQ(e.now(), 4.999);
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(e.pending_count(), 100u);
+
+  e.run();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 }  // namespace
