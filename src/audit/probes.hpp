@@ -15,12 +15,13 @@
 ///                 occupancy from the event stream and must agree with the
 ///                 service's own accounting, exactly at end of run);
 ///   audit_flow_network  the max-min certificate for one converged solve
-///                 (wired as Network's post-solve hook).
+///                 (called from the flow observer's on_solved()).
 ///
 /// Probes are passive: they never mutate the observed layer and never
 /// throw; violations are recorded so an audited run completes and reports
-/// everything at once. exec::Simulation owns the wiring (ExecutionConfig::
-/// audit) because the probes must outlive the run they observe.
+/// everything at once. In a simulation, exec::Instruments owns the auditor
+/// and the probes (ExecutionConfig::audit) and forwards its engine, flow
+/// and storage observer callbacks to them.
 #pragma once
 
 #include <functional>
@@ -89,7 +90,7 @@ class StorageProbe final : public storage::StorageObserver {
 
 /// Certifies one converged max-min allocation: records kFlowOverCapacity /
 /// kFlowNotMaxMin for every violated condition of Network::solve_issues().
-/// Wire as `net.set_post_solve_hook(...)` with the engine clock for
+/// Call from a flow::FlowObserver's on_solved() with the engine clock for
 /// timestamps.
 void audit_flow_network(Auditor& auditor, const flow::Network& net, double now,
                         double tolerance = 1e-6);

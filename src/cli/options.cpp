@@ -1,5 +1,9 @@
 #include "cli/options.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <type_traits>
+
 #include "exec/placement.hpp"
 #include "resil/fault.hpp"
 #include "util/error.hpp"
@@ -95,6 +99,24 @@ Output:
 )";
 }
 
+namespace {
+
+/// The whole of `text` as a T; a ConfigError naming `what` otherwise
+/// (std::stoi would throw a bare "stoi", or drop trailing garbage).
+template <typename T>
+T parse_whole(const std::string& what, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(static_cast<double>(value))) {
+    const char* kind = std::is_integral_v<T> ? "an integer" : "a finite number";
+    throw ConfigError(what + " expects " + kind + ", got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::shared_ptr<exec::PlacementPolicy> make_policy(const std::string& spec) {
   const auto colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
@@ -103,8 +125,8 @@ std::shared_ptr<exec::PlacementPolicy> make_policy(const std::string& spec) {
   if (kind == "all_bb") return exec::all_bb_policy();
   if (kind == "fraction") {
     if (arg.empty()) throw ConfigError("policy fraction:<0..1> needs a value");
-    return std::make_shared<exec::FractionPolicy>(std::stod(arg),
-                                                  exec::Tier::BurstBuffer);
+    return std::make_shared<exec::FractionPolicy>(
+        parse_whole<double>("policy '" + spec + "'", arg), exec::Tier::BurstBuffer);
   }
   if (kind == "size") {
     if (arg.empty()) throw ConfigError("policy size:<bytes> needs a value");
@@ -157,15 +179,17 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--bb-mode") {
       opt.bb_mode = platform::bb_mode_from_string(next_value(a));
     } else if (a == "--nodes") {
-      opt.nodes = std::stoi(next_value(a));
+      opt.nodes = parse_whole<int>(a, next_value(a));
     } else if (a == "--workflow") {
       opt.workflow = next_value(a);
     } else if (a == "--pipelines") {
-      opt.pipelines = std::stoi(next_value(a));
+      opt.pipelines = parse_whole<int>(a, next_value(a));
     } else if (a == "--chromosomes") {
-      opt.chromosomes = std::stoi(next_value(a));
+      opt.chromosomes = parse_whole<int>(a, next_value(a));
     } else if (a == "--cores") {
-      opt.cores = std::stoi(next_value(a));
+      opt.cores = parse_whole<int>(a, next_value(a));
+      // 0 means "honour the workflow's cores", so only its absence may say so.
+      if (opt.cores < 1) throw ConfigError("--cores must be >= 1");
     } else if (a == "--policy") {
       opt.policy = next_value(a);
     } else if (a == "--scheduler") {
@@ -176,7 +200,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       else if (v == "instant") opt.stage_in = exec::StageInMode::Instant;
       else throw ConfigError("unknown stage-in mode '" + v + "'");
     } else if (a == "--stage-width") {
-      opt.stage_width = std::stoi(next_value(a));
+      opt.stage_width = parse_whole<int>(a, next_value(a));
     } else if (a == "--stage-out") {
       opt.stage_out = true;
     } else if (a == "--evict") {
@@ -190,11 +214,11 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--testbed") {
       opt.testbed_system = system_from(next_value(a));
     } else if (a == "--reps") {
-      opt.repetitions = std::stoi(next_value(a));
+      opt.repetitions = parse_whole<int>(a, next_value(a));
     } else if (a == "--seed") {
-      opt.seed = std::stoull(next_value(a));
+      opt.seed = parse_whole<unsigned long long>(a, next_value(a));
     } else if (a == "--jobs") {
-      opt.jobs = std::stoi(next_value(a));
+      opt.jobs = parse_whole<int>(a, next_value(a));
     } else if (a == "--trace") {
       opt.trace_path = next_value(a);
     } else if (a == "--csv") {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <iterator>
 
 #include "exec/validate.hpp"
@@ -60,55 +61,14 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
   workflow_.validate();
   staged_file_host_.assign(workflow_.file_count(), 0);
   last_access_.assign(workflow_.file_count(), 0.0);
-  if (config_.collect_metrics) {
-    metrics_ = std::make_unique<stats::MetricsRegistry>();
-    fabric_.engine().set_metrics(metrics_.get());
-    fabric_.flows().set_metrics(metrics_.get());
-    storage_.set_metrics(metrics_.get());
-  }
-  if (config_.collect_timeline) {
-    timeline_rec_ = std::make_unique<trace::TimelineRecorder>();
-    std::vector<std::string> host_names;
-    host_names.reserve(fabric_.spec().hosts.size());
-    for (const auto& h : fabric_.spec().hosts) host_names.push_back(h.name);
-    timeline_rec_->set_host_names(std::move(host_names));
-    fabric_.engine().set_timeline(timeline_rec_.get());
-    fabric_.flows().set_timeline(timeline_rec_.get());
-    storage_.set_timeline(timeline_rec_.get());
-  }
-  if (config_.collect_metrics || config_.collect_timeline) {
-    // One achieved-bandwidth group per storage service (its read + write
-    // disk channels): the time-resolved Figure 9 signal, published into
-    // the metrics registry and/or the timeline by the flow manager.
-    for (std::size_t s = 0; s < fabric_.spec().storage.size(); ++s) {
-      const auto& res = fabric_.storage_resources(s);
-      std::vector<flow::ResourceId> group(res.disk_read);
-      group.insert(group.end(), res.disk_write.begin(), res.disk_write.end());
-      fabric_.flows().register_bandwidth_group(fabric_.spec().storage[s].name,
-                                               std::move(group));
+  if (config_.collect_metrics || config_.collect_timeline || config_.profile || config_.audit) {
+    instruments_ = std::make_unique<Instruments>(config_, storage_, workflow_);
+    fabric_.engine().set_observer(instruments_.get());
+    fabric_.flows().set_observer(instruments_.get());
+    storage_.set_observer(instruments_.get());
+    if (trace::Profiler* profiler = instruments_->profiler()) {
+      placement_profile_ = profiler->section("exec.placement");
     }
-  }
-  if (config_.profile) {
-    profiler_ = std::make_unique<trace::Profiler>();
-    fabric_.engine().set_profiler(profiler_.get());
-    fabric_.flows().set_profiler(profiler_.get());
-    placement_profile_ = profiler_->section("exec.placement");
-  }
-  if (config_.audit) {
-    auditor_ = std::make_unique<audit::Auditor>();
-    engine_probe_ = std::make_unique<audit::EngineProbe>(*auditor_);
-    storage_probe_ = std::make_unique<audit::StorageProbe>(
-        *auditor_, [this] { return fabric_.engine().now(); });
-    for (const std::string& f : workflow_.file_names()) {
-      storage_probe_->set_expected_size(f, workflow_.file(f).size);
-    }
-    fabric_.engine().set_observer(engine_probe_.get());
-    storage_.set_observer(storage_probe_.get());
-    fabric_.flows().network().set_post_solve_hook(
-        [this](const flow::Network& net, int /*rounds*/) {
-          audit::audit_flow_network(*auditor_, net, fabric_.engine().now());
-        });
-    if (metrics_) auditor_->set_metrics(metrics_.get());
   }
   if (config_.critpath) {
     critpath_ = std::make_unique<critpath::Recorder>();
@@ -117,15 +77,16 @@ Simulation::Simulation(platform::PlatformSpec platform, const wf::Workflow& work
 
 void Simulation::bump(Stat stat, double delta) {
   static_assert(std::size(kStatNames) == static_cast<std::size_t>(Stat::kCount));
-  if (!metrics_) return;
+  stats::MetricsRegistry* registry = metrics();
+  if (registry == nullptr) return;
   const auto i = static_cast<std::size_t>(stat);
-  if (stats_[i] == nullptr) stats_[i] = &metrics_->counter(kStatNames[i]);
+  if (stats_[i] == nullptr) stats_[i] = &registry->counter(kStatNames[i]);
   stats_[i]->add(delta);
 }
 
 void Simulation::record_queue_wait(double seconds) {
-  if (!metrics_) return;
-  if (queue_wait_ == nullptr) queue_wait_ = &metrics_->histogram("flow.queue_wait_seconds");
+  if (!metrics()) return;
+  if (queue_wait_ == nullptr) queue_wait_ = &metrics()->histogram("flow.queue_wait_seconds");
   queue_wait_->record(seconds);
 }
 
@@ -138,9 +99,30 @@ int Simulation::cores_for(const wf::Task& task) const {
   return std::max(1, cores);
 }
 
-void Simulation::trace(TraceEventKind kind, const std::string& task,
-                       std::string detail) {
+void Simulation::make_ready(TaskState& ts, critpath::ReadyCause::Kind why,
+                            const TaskState* parent) {
+  ts.ready = true;
+  ts.record.t_ready = fabric_.engine().now();
+  enqueue_ready(ts.id);
+  trace(TraceEventKind::TaskReady, ts.task->name);
+  if (critpath_) {
+    critpath_->record_ready(ts.task->name, ts.record.t_ready,
+                            {why, parent != nullptr ? parent->task->name : ""});
+  }
+}
+
+void Simulation::trace(TraceEventKind kind, const std::string& task) {
   if (!config_.collect_trace) return;
+  trace_.push_back(TraceEvent{fabric_.engine().now(), kind, task, ""});
+}
+
+void Simulation::trace(TraceEventKind kind, const std::string& task, const char* detail_fmt,
+                       ...) {
+  if (!config_.collect_trace) return;
+  va_list args;
+  va_start(args, detail_fmt);
+  std::string detail = util::vformat(detail_fmt, args);
+  va_end(args);
   trace_.push_back(TraceEvent{fabric_.engine().now(), kind, task, std::move(detail)});
 }
 
@@ -225,15 +207,7 @@ void Simulation::prepare(std::vector<std::size_t> homes) {
   for (const wf::TaskId id : topo_order_) {
     TaskState& st = states_[id];
     if (st.remaining_parents == 0) {
-      st.ready = true;
-      st.record.t_ready = fabric_.engine().now();
-      enqueue_ready(id);
-      trace(TraceEventKind::TaskReady, st.task->name);
-      if (critpath_) {
-        critpath_->record_ready(
-            st.task->name, st.record.t_ready,
-            {critpath::ReadyCause::Kind::kWorkflowStart, {}});
-      }
+      make_ready(st, critpath::ReadyCause::Kind::kWorkflowStart);
     }
   }
   setup_resil();
@@ -329,16 +303,14 @@ void Simulation::start_task(TaskState& ts, std::size_t host) {
   ts.record.host = host;
   free_cores_[host] -= ts.cores;
   ts.record.t_start = fabric_.engine().now();
-  trace(TraceEventKind::TaskStart, ts.task->name,
-        util::format("host=%zu cores=%d", host, ts.cores));
+  trace(TraceEventKind::TaskStart, ts.task->name, "host=%zu cores=%d", host, ts.cores);
 
   if (ts.task->type == kStageInType) {
     run_stage_in(ts);
     return;
   }
   if (resil_ != nullptr && ts.attempt > 0) {
-    trace(TraceEventKind::TaskRestart, ts.task->name,
-          util::format("attempt=%d", ts.attempt + 1));
+    trace(TraceEventKind::TaskRestart, ts.task->name, "attempt=%d", ts.attempt + 1);
     const double delay = config_.checkpoint.restart_latency;
     if (delay > 0.0) {
       // Restart overhead: re-launch plus reading the checkpoint image back.
@@ -460,7 +432,8 @@ void Simulation::pump_stage_chain(const std::shared_ptr<StageChain>& chain) {
       ++skipped_stage_files_;
       bump(Stat::kSkippedStageIns);
       trace(TraceEventKind::StageSkipped,
-            chain->ts != nullptr ? chain->ts->task->name : "implicit_stage_in", fname);
+            chain->ts != nullptr ? chain->ts->task->name : "implicit_stage_in", "%s",
+            fname.c_str());
       continue;
     }
     const std::size_t via_host = staged_file_host_[fid];
@@ -470,7 +443,7 @@ void Simulation::pump_stage_chain(const std::shared_ptr<StageChain>& chain) {
     }
     trace(TraceEventKind::StageFile,
           chain->ts != nullptr ? chain->ts->task->name : "implicit_stage_in",
-          util::format("%s -> bb (host %zu)", fname.c_str(), via_host));
+          "%s -> bb (host %zu)", fname.c_str(), via_host);
     ++chain->inflight;
     storage_.transfer(file, storage_.pfs(), *bb(), via_host, [this, chain] {
       --chain->inflight;
@@ -617,8 +590,8 @@ void Simulation::take_checkpoint(TaskState& ts) {
   storage::StorageService& dst = to_bb ? *bb_svc : storage_.pfs();
   ts.ckpt_size = bytes;
   ts.ckpt_write_start = fabric_.engine().now();
-  trace(TraceEventKind::Checkpoint, ts.task->name,
-        util::format("%s -> %s", file.name.c_str(), dst.name().c_str()));
+  trace(TraceEventKind::Checkpoint, ts.task->name, "%s -> %s", file.name.c_str(),
+        dst.name().c_str());
   bump(Stat::kCheckpoints);
   const double progress = ts.compute_done;
   ts.ckpt_op = dst.write_cancellable(
@@ -725,8 +698,7 @@ void Simulation::issue_writes(TaskState& ts) {
                                     tier == Tier::BurstBuffer);
     }
     record_queue_wait(fabric_.engine().now() - ts.record.t_compute_done);
-    trace(TraceEventKind::Write, ts.task->name,
-          util::format("%s -> %s", fname.c_str(), dst.name().c_str()));
+    trace(TraceEventKind::Write, ts.task->name, "%s -> %s", fname.c_str(), dst.name().c_str());
     ++ts.inflight_io;
     auto done = [this, &ts] {
       --ts.inflight_io;
@@ -770,15 +742,7 @@ void Simulation::finish_task(TaskState& ts) {
     // result; re-completing the parent must not unblock it twice.
     if (cs.done) continue;
     if (--cs.remaining_parents == 0) {
-      cs.ready = true;
-      cs.record.t_ready = fabric_.engine().now();
-      enqueue_ready(child);
-      trace(TraceEventKind::TaskReady, cs.task->name);
-      if (critpath_) {
-        critpath_->record_ready(
-            cs.task->name, cs.record.t_ready,
-            {critpath::ReadyCause::Kind::kParent, ts.task->name});
-      }
+      make_ready(cs, critpath::ReadyCause::Kind::kParent, &ts);
     }
   }
   if (tasks_remaining_ == 0 && config_.stage_out) {
@@ -811,7 +775,7 @@ void Simulation::drain_stage_out(std::shared_ptr<const std::vector<std::string>>
   const std::string& fname = (*files)[index];
   const storage::StorageService::Replica* rep = bb_svc->replica(fname);
   const std::size_t via_host = rep != nullptr ? rep->creator_host : 0;
-  trace(TraceEventKind::StageOut, "stage_out", fname);
+  trace(TraceEventKind::StageOut, "stage_out", "%s", fname.c_str());
   storage_.transfer(storage::FileRef{fname, workflow_.file(fname).size}, *bb_svc,
                     storage_.pfs(), via_host, [this, files, index, start] {
                       drain_stage_out(files, index + 1, start);
@@ -843,7 +807,7 @@ bool Simulation::try_evict(double bytes) {
     bb_svc->erase_file(c.file);
     ++evicted_files_;
     bump(Stat::kEvictions);
-    trace(TraceEventKind::Evict, "", c.file);
+    trace(TraceEventKind::Evict, "", "%s", c.file.c_str());
   }
   return bb_has_room(bytes);
 }
@@ -855,24 +819,17 @@ bool Simulation::host_available(std::size_t host) const {
 }
 
 void Simulation::sample_hosts_down() {
-  if (resil_ == nullptr || !resil_->has_track || timeline_rec_ == nullptr) return;
-  double down = 0.0;
-  for (const char up : resil_->host_up) {
-    if (up == 0) down += 1.0;
-  }
-  timeline_rec_->counter_sample(resil_->hosts_down_track, fabric_.engine().now(),
-                                down);
+  trace::TimelineRecorder* timeline = timeline_recorder();
+  if (resil_ == nullptr || timeline == nullptr) return;
+  const auto down = std::count(resil_->host_up.begin(), resil_->host_up.end(), 0);
+  timeline->counter_sample(timeline->counter_track("resil.hosts_down", "hosts"),
+                           fabric_.engine().now(), static_cast<double>(down));
 }
 
 void Simulation::setup_resil() {
   if (!config_.faults.enabled() && !config_.checkpoint.enabled()) return;
   resil_ = std::make_unique<ResilState>(config_.faults, fabric_.spec().hosts.size());
-  if (timeline_rec_ != nullptr) {
-    resil_->hosts_down_track =
-        timeline_rec_->counter_track("resil.hosts_down", "hosts");
-    resil_->has_track = true;
-    sample_hosts_down();
-  }
+  sample_hosts_down();  // opens the hosts-down track, if a timeline is on
   const resil::FaultSpec& spec = config_.faults;
   const double now = fabric_.engine().now();
   if (spec.node_mtbf > 0.0) {
@@ -900,7 +857,7 @@ void Simulation::on_node_crash(std::size_t host) {
   st.host_up[host] = 0;
   ++st.stats.node_crashes;
   bump(Stat::kNodeCrashes);
-  trace(TraceEventKind::NodeCrash, "", util::format("host=%zu", host));
+  trace(TraceEventKind::NodeCrash, "", "host=%zu", host);
   sample_hosts_down();
   // Running attempts on the host die. Stage-in pseudo-tasks model the
   // platform's data-movement service, not node-bound work; they survive.
@@ -951,7 +908,7 @@ void Simulation::on_node_repair(std::size_t host) {
   if (st.host_up[host] != 0) return;
   st.host_up[host] = 1;
   ++st.stats.node_repairs;
-  trace(TraceEventKind::NodeRepair, "", util::format("host=%zu", host));
+  trace(TraceEventKind::NodeRepair, "", "host=%zu", host);
   sample_hosts_down();
   // The next crash gap is measured from the end of the repair window, so
   // down-windows of one host never overlap.
@@ -975,8 +932,8 @@ void Simulation::on_bb_degrade() {
   bump(Stat::kBbDegradations);
   const std::size_t idx = bb()->storage_index();
   fabric_.scale_storage_capacity(idx, spec.bb_degrade);
-  trace(TraceEventKind::BbDegraded, "",
-        util::format("scale=%.3f duration=%.1f", spec.bb_degrade, spec.bb_duration));
+  trace(TraceEventKind::BbDegraded, "", "scale=%.3f duration=%.1f", spec.bb_degrade,
+        spec.bb_duration);
   const double end = fabric_.engine().now() + spec.bb_duration;
   fabric_.engine().schedule_at(end, [this, idx] {
     // Restoring with factor 1.0 rescales from the spec nominal, so the
@@ -1002,9 +959,8 @@ void Simulation::on_pfs_brownout() {
   bump(Stat::kPfsBrownouts);
   const std::size_t idx = storage_.pfs().storage_index();
   fabric_.scale_storage_capacity(idx, spec.pfs_brownout);
-  trace(TraceEventKind::PfsBrownout, "",
-        util::format("scale=%.3f duration=%.1f", spec.pfs_brownout,
-                     spec.pfs_duration));
+  trace(TraceEventKind::PfsBrownout, "", "scale=%.3f duration=%.1f", spec.pfs_brownout,
+        spec.pfs_duration);
   const double end = fabric_.engine().now() + spec.pfs_duration;
   fabric_.engine().schedule_at(end, [this, idx] {
     fabric_.scale_storage_capacity(idx, 1.0);
@@ -1063,17 +1019,9 @@ void Simulation::kill_task(TaskState& ts, bool requeue) {
   free_cores_[ts.host] += ts.cores;
   ts.running = false;
   ++ts.attempt;
-  trace(TraceEventKind::TaskKilled, ts.task->name,
-        util::format("host=%zu attempt=%d", ts.host, ts.attempt));
+  trace(TraceEventKind::TaskKilled, ts.task->name, "host=%zu attempt=%d", ts.host, ts.attempt);
   if (requeue) {
-    ts.ready = true;
-    ts.record.t_ready = now;
-    enqueue_ready(ts.id);
-    trace(TraceEventKind::TaskReady, ts.task->name);
-    if (critpath_) {
-      critpath_->record_ready(ts.task->name, now,
-                              {critpath::ReadyCause::Kind::kRequeue, {}});
-    }
+    make_ready(ts, critpath::ReadyCause::Kind::kRequeue);
   } else {
     ts.ready = false;
   }
@@ -1105,8 +1053,7 @@ void Simulation::rollback_task(TaskState& ts) {
   }
   ts.record.bytes_read = 0.0;
   ts.record.bytes_written = 0.0;
-  trace(TraceEventKind::Rollback, ts.task->name,
-        util::format("attempt=%d", ts.attempt + 1));
+  trace(TraceEventKind::Rollback, ts.task->name, "attempt=%d", ts.attempt + 1);
   // Non-done children must wait for the re-run; done children keep their
   // results (their bytes were consumed before the crash).
   for (const wf::TaskId child : workflow_.child_ids(ts.id)) {
@@ -1128,14 +1075,7 @@ void Simulation::rollback_task(TaskState& ts) {
     if (!states_[parent].done) ++ts.remaining_parents;
   }
   if (ts.remaining_parents == 0) {
-    ts.ready = true;
-    ts.record.t_ready = now;
-    enqueue_ready(ts.id);
-    trace(TraceEventKind::TaskReady, ts.task->name);
-    if (critpath_) {
-      critpath_->record_ready(ts.task->name, now,
-                              {critpath::ReadyCause::Kind::kRollback, {}});
-    }
+    make_ready(ts, critpath::ReadyCause::Kind::kRollback);
   } else {
     ts.ready = false;
   }
@@ -1229,12 +1169,12 @@ Result Simulation::collect_result() {
     }
     r.storage.push_back(std::move(c));
   }
-  if (metrics_) {
+  if (metrics()) {
     // Mirror each storage service's achieved-bandwidth time series (sampled
-    // by the flow manager's bandwidth groups) into its counters entry.
+    // by Instruments at every settle interval) into its counters entry.
     for (StorageCounters& c : r.storage) {
       const stats::TimeSeries* series =
-          metrics_->find_series("storage." + c.service + ".achieved_bandwidth");
+          metrics()->find_series("storage." + c.service + ".achieved_bandwidth");
       if (series == nullptr) continue;
       c.bandwidth_series.reserve(series->samples().size());
       for (const stats::Sample& smp : series->samples()) {
@@ -1247,7 +1187,7 @@ Result Simulation::collect_result() {
     // registry) and before the timeline finishes (so the critical-path
     // links make it into the Perfetto export).
     const trace::ScopedTimer critpath_timer(
-        profiler_ ? profiler_->section("critpath") : nullptr);
+        profiler() ? profiler()->section("critpath") : nullptr);
     critpath::AnalyzeInput input;
     input.makespan = r.makespan;
     input.stage_out_duration = stage_out_duration_;
@@ -1267,22 +1207,22 @@ Result Simulation::collect_result() {
     }
     const critpath::Report report = critpath::analyze(*critpath_, input);
     r.critpath = report.to_json();
-    if (auditor_) {
+    if (auditor()) {
       const double tol = 1e-9 * std::max(1.0, r.makespan);
-      BBSIM_AUDIT_CHECK(*auditor_,
+      BBSIM_AUDIT_CHECK(*auditor(),
                         std::abs(report.path_length() - r.makespan) <= tol,
                         audit::Code::kAttributionMismatch, audit::kPostRun,
                         "critpath",
                         util::format("critical-path length %.12g != makespan %.12g",
                                      report.path_length(), r.makespan));
-      BBSIM_AUDIT_CHECK(*auditor_,
+      BBSIM_AUDIT_CHECK(*auditor(),
                         std::abs(report.blame_total() - r.makespan) <= tol,
                         audit::Code::kAttributionMismatch, audit::kPostRun,
                         "critpath",
                         util::format("blame classes sum %.12g != makespan %.12g",
                                      report.blame_total(), r.makespan));
     }
-    if (timeline_rec_) {
+    if (timeline_recorder()) {
       // Flow-event links between consecutive on-path tasks (synthetic
       // stage nodes have no timeline span to anchor to).
       std::string last_task;
@@ -1291,17 +1231,17 @@ Result Simulation::collect_result() {
           continue;
         }
         if (!last_task.empty() && seg.task != last_task) {
-          timeline_rec_->add_critpath_link(last_task, seg.task, seg.start);
+          timeline_recorder()->add_critpath_link(last_task, seg.task, seg.start);
         }
         last_task = seg.task;
       }
     }
   }
-  if (profiler_) {
-    if (metrics_) profiler_->publish(*metrics_);
-    r.profile = profiler_->to_json();
+  if (profiler()) {
+    if (metrics()) profiler()->publish(*metrics());
+    r.profile = profiler()->to_json();
   }
-  if (timeline_rec_) {
+  if (timeline_recorder()) {
     // Task spans enter in name order, a deterministic order; finish()
     // re-sorts by (host, start) for lane assignment.
     for (const wf::TaskId id : by_name_) {
@@ -1318,17 +1258,17 @@ Result Simulation::collect_result() {
       span.t_end = st.record.t_end;
       span.bytes_read = st.record.bytes_read;
       span.bytes_written = st.record.bytes_written;
-      timeline_rec_->add_task(std::move(span));
+      timeline_recorder()->add_task(std::move(span));
     }
-    r.timeline = std::make_shared<const trace::Timeline>(timeline_rec_->finish());
+    r.timeline = std::make_shared<const trace::Timeline>(timeline_recorder()->finish());
   }
-  if (metrics_) r.metrics = metrics_->to_json();
+  if (metrics()) r.metrics = metrics()->to_json();
   if (resil_) r.resil_stats = std::make_shared<resil::RunStats>(resil_->stats);
-  if (auditor_) {
-    storage_probe_->finalize();
-    audit_result(r, workflow_, fabric_.spec(), *auditor_);
-    r.audit = auditor_->to_json();
-    r.audit_violations = auditor_->total();
+  if (auditor()) {
+    instruments_->finalize_audit();
+    audit_result(r, workflow_, fabric_.spec(), *auditor());
+    r.audit = auditor()->to_json();
+    r.audit_violations = auditor()->total();
   }
   return r;
 }

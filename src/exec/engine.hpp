@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "audit/probes.hpp"
 #include "critpath/critpath.hpp"
+#include "exec/instruments.hpp"
 #include "exec/placement.hpp"
 #include "exec/pinning.hpp"
 #include "exec/trace.hpp"
@@ -142,13 +142,15 @@ class Simulation {
   const wf::Workflow& workflow() const { return workflow_; }
   const ExecutionConfig& config() const { return config_; }
   /// The live metrics registry; nullptr unless config.collect_metrics.
-  stats::MetricsRegistry* metrics() { return metrics_.get(); }
+  stats::MetricsRegistry* metrics() { return instruments_ ? instruments_->metrics() : nullptr; }
   /// The live timeline recorder; nullptr unless config.collect_timeline.
-  trace::TimelineRecorder* timeline_recorder() { return timeline_rec_.get(); }
+  trace::TimelineRecorder* timeline_recorder() {
+    return instruments_ ? instruments_->timeline() : nullptr;
+  }
   /// The live wall-clock profiler; nullptr unless config.profile.
-  trace::Profiler* profiler() { return profiler_.get(); }
+  trace::Profiler* profiler() { return instruments_ ? instruments_->profiler() : nullptr; }
   /// The live invariant auditor; nullptr unless config.audit.
-  audit::Auditor* auditor() { return auditor_.get(); }
+  audit::Auditor* auditor() { return instruments_ ? instruments_->auditor() : nullptr; }
   /// The live critical-path recorder; nullptr unless config.critpath.
   critpath::Recorder* critpath_recorder() { return critpath_.get(); }
 
@@ -199,14 +201,10 @@ class Simulation {
   ExecutionConfig config_;
   platform::Fabric fabric_;
   storage::StorageSystem storage_;
-  std::unique_ptr<stats::MetricsRegistry> metrics_;  ///< set iff collect_metrics
-  std::unique_ptr<trace::TimelineRecorder> timeline_rec_;  ///< iff collect_timeline
-  std::unique_ptr<trace::Profiler> profiler_;              ///< iff profile
-  trace::ProfileSection* placement_profile_ = nullptr;     ///< iff profile
-  // Invariant auditing (set iff config.audit and the build has the hooks).
-  std::unique_ptr<audit::Auditor> auditor_;
-  std::unique_ptr<audit::EngineProbe> engine_probe_;
-  std::unique_ptr<audit::StorageProbe> storage_probe_;
+  /// The observer of the engine, flow and storage layers; set iff any of
+  /// metrics, timeline, profiler or auditor is on.
+  std::unique_ptr<Instruments> instruments_;
+  trace::ProfileSection* placement_profile_ = nullptr;  ///< iff profile
   /// Causal event recorder (set iff config.critpath). Every call site
   /// null-checks it.
   std::unique_ptr<critpath::Recorder> critpath_;
@@ -245,8 +243,6 @@ class Simulation {
     resil::FaultModel model;
     resil::RunStats stats;
     std::vector<char> host_up;  ///< 0 while a host is crashed
-    trace::TrackId hosts_down_track = 0;
-    bool has_track = false;
   };
   std::unique_ptr<ResilState> resil_;
 
@@ -300,6 +296,10 @@ class Simulation {
   void compute_priorities();
   /// Insert into the ready queue respecting the scheduler policy.
   void enqueue_ready(wf::TaskId task);
+  /// Mark `ts` ready now and queue it; `why` (and the `parent` whose
+  /// completion it was) is the critical-path readiness cause.
+  void make_ready(TaskState& ts, critpath::ReadyCause::Kind why,
+                  const TaskState* parent = nullptr);
   /// Drain BB-resident final outputs to the PFS (stage_out option).
   void run_stage_out();
   /// Transfer files[index] BB -> PFS, then the next one; records the
@@ -353,7 +353,11 @@ class Simulation {
   /// True when the BB has room for `bytes` more.
   bool bb_has_room(double bytes);
   storage::StorageService* bb() { return storage_.burst_buffer(); }
-  void trace(TraceEventKind kind, const std::string& task, std::string detail = "");
+  /// Append a trace event (config.collect_trace only). The detail is
+  /// printf-formatted from `detail_fmt` only when the event is kept.
+  void trace(TraceEventKind kind, const std::string& task);
+  void trace(TraceEventKind kind, const std::string& task, const char* detail_fmt, ...)
+      __attribute__((format(printf, 4, 5)));
   /// Increment an exec metrics counter (no-op when metrics are off).
   void bump(Stat stat, double delta = 1.0);
   /// Record a transfer's wait in its task's I/O window (metrics on only).

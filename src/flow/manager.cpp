@@ -7,9 +7,6 @@
 #include <span>
 #include <string>
 
-#include "trace/profiler.hpp"
-#include "trace/timeline.hpp"
-
 namespace bbsim::flow {
 
 namespace {
@@ -49,8 +46,8 @@ FlowId FlowManager::start(FlowSpec spec, CompletionHandler on_complete) {
   slot_of_[id] = slots_.size();
   slots_.push_back(slot);
   owners_.push_back(Owner{id, engine_.now(), std::move(on_complete)});
-  if (timeline_ != nullptr) {
-    timeline_->flow_begin(id, engine_.now(), st.spec.label, st.spec.volume);
+  if (observer_ != nullptr) {
+    observer_->on_flow_begin(id, engine_.now(), st.spec, net_.flow_count());
   }
   reschedule();
   return id;
@@ -66,8 +63,10 @@ std::optional<double> FlowManager::cancel(FlowId id) {
   const std::size_t i = slot_of_[id];
   const double moved = std::max(0.0, net_.flow(id).spec.volume - slots_[i].remaining);
   net_.remove_flow(id);
+  if (observer_ != nullptr) {
+    observer_->on_flow_end(id, engine_.now(), owners_[i].started, false, net_.flow_count());
+  }
   retire(i);
-  if (timeline_ != nullptr) timeline_->flow_end(id, engine_.now(), false);
   compact_if_sparse();
   reschedule();
   return moved;
@@ -153,57 +152,12 @@ void FlowManager::set_capacity(ResourceId id, double capacity) {
   reschedule();
 }
 
-void FlowManager::set_metrics(stats::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  util_series_.clear();
-  net_.set_metrics(metrics);
-  transfer_hist_ =
-      metrics != nullptr ? &metrics->histogram("flow.transfer_seconds") : nullptr;
-  for (BandwidthGroup& g : bandwidth_groups_) {
-    g.series = metrics != nullptr
-                   ? &metrics->series("storage." + g.name + ".achieved_bandwidth")
-                   : nullptr;
-  }
-}
-
-void FlowManager::set_timeline(trace::TimelineRecorder* timeline) {
-  timeline_ = timeline;
-  for (BandwidthGroup& g : bandwidth_groups_) {
-    g.track_ready = timeline_ != nullptr;
-    if (timeline_ != nullptr) {
-      g.track = timeline_->counter_track("storage." + g.name + ".achieved_bandwidth",
-                                         "bytes/s");
-    }
-  }
-}
-
-void FlowManager::set_profiler(trace::Profiler* profiler) {
-  solve_profile_ = profiler != nullptr ? profiler->section("flow.solve") : nullptr;
-  settle_profile_ = profiler != nullptr ? profiler->section("flow.settle") : nullptr;
-}
-
-void FlowManager::register_bandwidth_group(const std::string& name,
-                                           std::vector<ResourceId> resources) {
-  BandwidthGroup g;
-  g.name = name;
-  g.resources = std::move(resources);
-  if (metrics_ != nullptr) {
-    g.series = &metrics_->series("storage." + name + ".achieved_bandwidth");
-  }
-  if (timeline_ != nullptr) {
-    g.track = timeline_->counter_track("storage." + name + ".achieved_bandwidth",
-                                       "bytes/s");
-    g.track_ready = true;
-  }
-  bandwidth_groups_.push_back(std::move(g));
-}
-
 void FlowManager::settle() {
   const sim::Time now = engine_.now();
   const double dt = now - last_settle_;
   last_settle_ = now;
   if (dt <= 0.0) return;
-  const trace::ScopedTimer timer(settle_profile_);
+  if (observer_ != nullptr) observer_->on_settle_begin();
 
   // Per-resource accounting: accumulate bytes and busy time while flows ran.
   // The scratch vectors persist across settles (entries outside touched_
@@ -241,35 +195,7 @@ void FlowManager::settle() {
     if (res_busy_[r] != 0) net_.resource(r).busy_time += dt;
   }
 
-  if (metrics_ != nullptr) {
-    if (util_series_.size() != net_.resource_count()) {
-      util_series_.resize(net_.resource_count(), nullptr);
-      for (ResourceId r = 0; r < net_.resource_count(); ++r) {
-        util_series_[r] = &metrics_->series("flow.util." + net_.resource(r).name);
-      }
-    }
-    // Every finite-capacity resource gets a sample each interval (including
-    // zero-utilization ones) so the series' time-weighted mean stays exact.
-    for (ResourceId r = 0; r < net_.resource_count(); ++r) {
-      const double cap = net_.resource(r).capacity;
-      if (cap <= 0.0 || cap == kUnlimited) continue;
-      util_series_[r]->sample(now, res_bytes_[r] / (cap * dt), dt);
-    }
-  }
-
-  // Achieved bandwidth per registered group over this settle interval
-  // (bytes actually moved / dt, not the allocated rate): the time-resolved
-  // per-storage throughput the paper's Figure 9 plots.
-  for (BandwidthGroup& g : bandwidth_groups_) {
-    if (g.series == nullptr && !g.track_ready) continue;
-    double bytes = 0.0;
-    for (const ResourceId r : g.resources) {
-      if (r < res_bytes_.size()) bytes += res_bytes_[r];
-    }
-    const double bandwidth = bytes / dt;
-    if (g.series != nullptr) g.series->sample(now, bandwidth, dt);
-    if (g.track_ready) timeline_->counter_sample(g.track, now, bandwidth);
-  }
+  if (observer_ != nullptr) observer_->on_settled(net_, now, dt, res_bytes_);
 
   for (const ResourceId r : touched_) {
     res_bytes_[r] = 0.0;
@@ -284,10 +210,7 @@ void FlowManager::reschedule() {
   }
   if (net_.flow_count() == 0) return;
 
-  {
-    const trace::ScopedTimer timer(solve_profile_);
-    net_.solve();
-  }
+  net_.solve();
   // Only the re-solved flows can have a new rate; every other record's
   // rate and eta are still exact.
   net_.for_each_resolved([this](FlowId id, const FlowState& st) {
@@ -295,15 +218,6 @@ void FlowManager::reschedule() {
     slot.rate = st.rate;
     slot.eta = time_to_completion(slot.remaining, st.rate, slot.tolerance);
   });
-  if (timeline_ != nullptr) {
-    // Publish each flow's freshly allocated rate as a change point of its
-    // span (flow_rate dedups unchanged rates, so a stable allocation
-    // costs one point, not one per solve).
-    const sim::Time now = engine_.now();
-    net_.for_each_flow([&](FlowId id, const FlowState& st) {
-      timeline_->flow_rate(id, now, st.rate);
-    });
-  }
 
   // Earliest completion among active flows (starved flows and tombstones
   // have an infinite eta). min is exact and etas are never NaN or -0, so
@@ -349,8 +263,9 @@ void FlowManager::on_wake() {
     Owner& owner = owners_[i];
     net_.remove_flow(owner.id);
     callbacks.push_back(std::move(owner.on_complete));
-    if (timeline_ != nullptr) timeline_->flow_end(owner.id, now, true);
-    if (transfer_hist_ != nullptr) transfer_hist_->record(now - owner.started);
+    if (observer_ != nullptr) {
+      observer_->on_flow_end(owner.id, now, owner.started, true, net_.flow_count());
+    }
     retire(i);
   }
   compact_if_sparse();

@@ -22,17 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "flow/network.hpp"
 #include "sim/engine.hpp"
-
-namespace bbsim::trace {
-class TimelineRecorder;
-struct ProfileSection;
-class Profiler;
-}  // namespace bbsim::trace
 
 namespace bbsim::flow {
 
@@ -86,33 +79,12 @@ class FlowManager {
   /// completion time. Throws InvariantError on the first violation.
   void check_invariants() const;
 
-  /// Publish flow metrics: forwards to the network (solver counters) and
-  /// samples per-resource utilization (`flow.util.<resource>`) at every
-  /// settle point, weighted by the interval length so the series' mean is
-  /// the time-weighted utilization. nullptr disables publishing. Also
-  /// records a `flow.transfer_seconds` histogram of completed-flow
-  /// durations.
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Publish per-flow transfer spans (begin / allocated-rate changes / end)
-  /// into `timeline`; nullptr disables (the default). Producers should set
-  /// FlowSpec::label when a timeline is installed (see has_timeline()).
-  void set_timeline(trace::TimelineRecorder* timeline);
-  bool has_timeline() const { return timeline_ != nullptr; }
-
-  /// Aggregate wall-clock cost into `profiler`: the max-min solve
-  /// ("flow.solve") and the progress/ledger pass that precedes it on every
-  /// event ("flow.settle"); nullptr disables (the default).
-  void set_profiler(trace::Profiler* profiler);
-
-  /// Declare a named group of resources whose combined throughput is one
-  /// achieved-bandwidth signal (one group per storage service: its disk
-  /// read + write channels). Every settle interval with dt > 0 samples
-  /// `storage.<name>.achieved_bandwidth` (bytes/s, dt-weighted) into the
-  /// metrics registry and, when a timeline is installed, the counter track
-  /// of the same name -- the time-resolved Figure 9 signal.
-  void register_bandwidth_group(const std::string& name,
-                                std::vector<ResourceId> resources);
+  /// Install the flow layer's observer on the manager and its network
+  /// (nullptr disables; the default). It must outlive the manager.
+  void set_observer(FlowObserver* observer) {
+    observer_ = observer;
+    net_.set_observer(observer);
+  }
 
  private:
   static constexpr FlowId kRetired = static_cast<FlowId>(-1);
@@ -154,33 +126,14 @@ class FlowManager {
   sim::Time last_settle_ = 0.0;
   /// Per-resource settle scratch, reused across calls so the per-event cost
   /// is O(active flows + touched resources), not O(all resources) plus an
-  /// allocation. Entries outside touched_ are always zero. Exception: with
-  /// a metrics registry installed, utilization sampling still visits every
-  /// finite-capacity resource per settle interval (the series' time-weighted
-  /// mean needs a sample even at zero utilization), so that path is
-  /// O(all resources).
+  /// allocation. Entries outside touched_ are always zero, so the whole
+  /// vector is the interval's per-resource byte count handed to the
+  /// observer.
   std::vector<double> res_bytes_;
   std::vector<char> res_busy_;
   std::vector<ResourceId> touched_;
   std::vector<std::size_t> done_;  ///< completion scratch for on_wake()
-  stats::MetricsRegistry* metrics_ = nullptr;
-  /// Cached per-resource utilization series (index = ResourceId); refreshed
-  /// lazily when resources were added since the last settle.
-  std::vector<stats::TimeSeries*> util_series_;
-
-  trace::TimelineRecorder* timeline_ = nullptr;
-  trace::ProfileSection* solve_profile_ = nullptr;
-  trace::ProfileSection* settle_profile_ = nullptr;
-  stats::Histogram* transfer_hist_ = nullptr;
-
-  struct BandwidthGroup {
-    std::string name;
-    std::vector<ResourceId> resources;
-    stats::TimeSeries* series = nullptr;  ///< when metrics are on
-    std::size_t track = 0;                ///< when a timeline is on
-    bool track_ready = false;
-  };
-  std::vector<BandwidthGroup> bandwidth_groups_;
+  FlowObserver* observer_ = nullptr;
 
   /// Apply elapsed progress since the last settle point: one pass over the
   /// records that moves bytes, charges the ledger and refreshes eta.

@@ -48,22 +48,6 @@ void Network::set_capacity(ResourceId id, double capacity) {
   mark_resource_dirty(id);
 }
 
-void Network::set_metrics(stats::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    solve_calls_ = nullptr;
-    solve_rounds_ = nullptr;
-    flows_resolved_ = nullptr;
-    active_flows_ = nullptr;
-    rounds_hist_ = nullptr;
-    return;
-  }
-  solve_calls_ = &metrics->counter("flow.solve_calls");
-  solve_rounds_ = &metrics->counter("flow.solve_rounds");
-  flows_resolved_ = &metrics->counter("flow.solve_flows_resolved");
-  active_flows_ = &metrics->gauge("flow.active_flows");
-  rounds_hist_ = &metrics->histogram("flow.solve_rounds_per_call");
-}
-
 void Network::mark_resource_dirty(ResourceId r) {
   if (res_dirty_[r] != 0) return;
   res_dirty_[r] = 1;
@@ -123,7 +107,6 @@ FlowId Network::add_flow(FlowSpec spec) {
 
   flows_.push_back(std::move(st));
   links_.push_back(std::move(links));
-  if (active_flows_ != nullptr) active_flows_->set(static_cast<double>(flows_.size()));
   return id;
 }
 
@@ -180,7 +163,6 @@ void Network::remove_flow(FlowId id) {
   ids_.pop_back();
   id_to_index_[id] = kNoFlow;
   free_ids_.push_back(id);
-  if (active_flows_ != nullptr) active_flows_->set(static_cast<double>(flows_.size()));
 }
 
 const FlowState& Network::flow(FlowId id) const { return flows_[checked_index(id)]; }
@@ -246,8 +228,7 @@ void Network::build_closure() {
 }
 
 int Network::solve() {
-  if (solve_calls_ != nullptr) solve_calls_->add(1.0);
-
+  if (observer_ != nullptr) observer_->on_solve_begin();
   build_closure();
   // Dirt is consumed by this solve, whatever its scope.
   for (const ResourceId r : dirty_res_) res_dirty_[r] = 0;
@@ -256,13 +237,7 @@ int Network::solve() {
   solved_once_ = true;
 
   const int rounds = solve_closure();
-
-  if (solve_rounds_ != nullptr) solve_rounds_->add(static_cast<double>(rounds));
-  if (flows_resolved_ != nullptr) {
-    flows_resolved_->add(static_cast<double>(closure_flows_.size()));
-  }
-  if (rounds_hist_ != nullptr) rounds_hist_->record(static_cast<double>(rounds));
-  if (post_solve_) post_solve_(*this, rounds);
+  if (observer_ != nullptr) observer_->on_solved(*this, rounds, closure_flows_.size());
   return rounds;
 }
 

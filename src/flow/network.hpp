@@ -32,13 +32,13 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "stats/metrics.hpp"
 #include "util/error.hpp"
 
 namespace bbsim::flow {
@@ -88,9 +88,32 @@ struct SolveIssue {
   std::string what;
 };
 
-/// Invoked after every solve() with the converged network and the round
-/// count -- the audit hook verifying each allocation's fairness certificate.
-using PostSolveHook = std::function<void(const class Network&, int rounds)>;
+class Network;
+
+/// The flow layer's one instrument hook (exec::Instruments fans it out).
+/// FlowManager installs it and hands it to its Network: the network reports
+/// solves, the manager flows and settle intervals. Callbacks fire inline
+/// after the layer's state changed and must not mutate it. With none
+/// installed each call site costs one null-pointer test.
+class FlowObserver {
+ public:
+  virtual ~FlowObserver() = default;
+  /// A flow entered the network at `now`; `active` flows are now in flight.
+  virtual void on_flow_begin(FlowId id, double now, const FlowSpec& spec,
+                             std::size_t active) = 0;
+  /// A flow started at `started` left at `now`: completed or cancelled.
+  virtual void on_flow_end(FlowId id, double now, double started, bool completed,
+                           std::size_t active) = 0;
+  /// Brackets applying one settle interval of `dt` > 0 seconds ending at
+  /// `now`; `bytes[r]` is what resource r moved in it.
+  virtual void on_settle_begin() = 0;
+  virtual void on_settled(const Network& net, double now, double dt,
+                          std::span<const double> bytes) = 0;
+  /// Brackets one solve: `rounds` water-filling rounds over `resolved`
+  /// flows; every rate in `net` is then the new allocation.
+  virtual void on_solve_begin() = 0;
+  virtual void on_solved(const Network& net, int rounds, std::size_t resolved) = 0;
+};
 
 /// The set of resources and active flows, with the max-min solver.
 class Network {
@@ -164,11 +187,6 @@ class Network {
   /// by the total number of flows ever created.
   std::size_t id_table_size() const { return id_to_index_.size(); }
 
-  /// Publish solver metrics (solve calls/rounds, active-flow high-water
-  /// mark, flows re-solved per call) into `metrics`; nullptr disables
-  /// publishing (the default).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
   // ------------------------------------------------------- invariant checks
   /// Returns every violated solver invariant: resources over capacity
   /// (feasibility) and flows below their cap with no saturated bottleneck
@@ -183,10 +201,9 @@ class Network {
   /// violation. Used by tests and debug builds.
   void check_invariants(double tolerance = 1e-6) const;
 
-  /// Install a hook invoked after every solve() (nullptr/default-empty
-  /// disables). The audit layer uses it to certify each converged
-  /// allocation; with no hook installed a solve pays one empty test.
-  void set_post_solve_hook(PostSolveHook hook) { post_solve_ = std::move(hook); }
+  /// Install the observer told about every solve() (nullptr disables; the
+  /// default). FlowManager::set_observer() installs its own here.
+  void set_observer(FlowObserver* observer) { observer_ = observer; }
 
  private:
   static constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
@@ -276,14 +293,7 @@ class Network {
   std::vector<ResourceId> closure_res_;       // resource ids, ascending
   std::vector<std::size_t> to_freeze_;
 
-  PostSolveHook post_solve_;
-
-  // Optional metrics sinks (cached so solve() skips the name lookups).
-  stats::Counter* solve_calls_ = nullptr;
-  stats::Counter* solve_rounds_ = nullptr;
-  stats::Counter* flows_resolved_ = nullptr;  ///< closure sizes, accumulated
-  stats::Gauge* active_flows_ = nullptr;
-  stats::Histogram* rounds_hist_ = nullptr;  ///< rounds-per-solve distribution
+  FlowObserver* observer_ = nullptr;
 
   std::size_t index_of(FlowId id) const {
     return id < id_to_index_.size() ? id_to_index_[id] : kNoFlow;

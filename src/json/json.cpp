@@ -263,6 +263,7 @@ class Parser {
  private:
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 
   [[noreturn]] void fail(const std::string& msg) const {
     std::size_t line = 1;
@@ -303,8 +304,14 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion level per open container: bounded, not a stack overflow.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't': if (consume_literal("true")) return Value(true); fail("invalid literal");
       case 'f': if (consume_literal("false")) return Value(false); fail("invalid literal");

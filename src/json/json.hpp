@@ -10,6 +10,7 @@
 // preserved for stable serialisation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -129,7 +130,11 @@ class Value {
   void dump_to(std::string& out, int indent, int depth) const;
 };
 
-/// Parse a JSON document; throws util::ParseError with a line/column message.
+/// Deepest array/object nesting parse() accepts.
+inline constexpr std::size_t kMaxDepth = 512;
+
+/// Parse a JSON document; throws util::ParseError with a line/column message
+/// (also for nesting deeper than kMaxDepth).
 Value parse(const std::string& text);
 
 /// Parse the contents of a file; throws util::ParseError (also for I/O errors).

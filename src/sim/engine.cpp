@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stats/metrics.hpp"
-#include "trace/profiler.hpp"
-#include "trace/timeline.hpp"
-
 namespace bbsim::sim {
 
 namespace {
@@ -17,31 +13,6 @@ bool later(const EventRecord& a, const EventRecord& b) {
   return a.id > b.id;
 }
 }  // namespace
-
-void Engine::set_metrics(stats::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    events_scheduled_ = nullptr;
-    events_executed_ = nullptr;
-    events_cancelled_ = nullptr;
-    queue_depth_ = nullptr;
-    return;
-  }
-  events_scheduled_ = &metrics->counter("sim.events_scheduled");
-  events_executed_ = &metrics->counter("sim.events_executed");
-  events_cancelled_ = &metrics->counter("sim.events_cancelled");
-  queue_depth_ = &metrics->gauge("sim.queue_depth");
-}
-
-void Engine::set_timeline(trace::TimelineRecorder* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) {
-    queue_track_ = timeline_->counter_track("sim.queue_depth", "events");
-  }
-}
-
-void Engine::set_profiler(trace::Profiler* profiler) {
-  dispatch_profile_ = profiler != nullptr ? profiler->section("sim.dispatch") : nullptr;
-}
 
 EventId Engine::schedule_at(Time t, EventHandler fn) {
   // Finiteness first: NaN compares false with everything, so a past-time
@@ -61,14 +32,6 @@ EventId Engine::schedule_at(Time t, EventHandler fn) {
   push(EventRecord{t, id});
   handlers_.emplace(id, std::move(fn));
   if (observer_ != nullptr) observer_->on_scheduled(id, now_, t);
-  if (events_scheduled_ != nullptr) {
-    events_scheduled_->add(1.0);
-    queue_depth_->set(static_cast<double>(pending_count()));
-  }
-  if (timeline_ != nullptr) {
-    timeline_->counter_sample(queue_track_, now_,
-                              static_cast<double>(pending_count()));
-  }
   return id;
 }
 
@@ -88,14 +51,6 @@ bool Engine::cancel(EventId id) {
     tombstones_ = 0;
   }
   if (observer_ != nullptr) observer_->on_cancelled(id);
-  if (events_cancelled_ != nullptr) {
-    events_cancelled_->add(1.0);
-    queue_depth_->set(static_cast<double>(pending_count()));
-  }
-  if (timeline_ != nullptr) {
-    timeline_->counter_sample(queue_track_, now_,
-                              static_cast<double>(pending_count()));
-  }
   return true;
 }
 
@@ -124,18 +79,8 @@ void Engine::execute(const EventRecord& r) {
   handlers_.erase(it);
   ++executed_;
   if (observer_ != nullptr) observer_->on_executed(r.id, r.time);
-  if (events_executed_ != nullptr) {
-    events_executed_->add(1.0);
-    queue_depth_->set(static_cast<double>(pending_count()));
-  }
-  if (timeline_ != nullptr) {
-    timeline_->counter_sample(queue_track_, now_,
-                              static_cast<double>(pending_count()));
-  }
-  {
-    const trace::ScopedTimer timer(dispatch_profile_);
-    fn();
-  }
+  fn();
+  if (observer_ != nullptr) observer_->on_dispatched(r.id);
 }
 
 bool Engine::step() {

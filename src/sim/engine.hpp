@@ -23,18 +23,6 @@
 
 #include "util/error.hpp"
 
-namespace bbsim::stats {
-class Counter;
-class Gauge;
-class MetricsRegistry;
-}  // namespace bbsim::stats
-
-namespace bbsim::trace {
-class TimelineRecorder;
-struct ProfileSection;
-class Profiler;
-}  // namespace bbsim::trace
-
 namespace bbsim::sim {
 
 /// Simulated time in seconds.
@@ -54,10 +42,10 @@ struct EventRecord {
 /// the event's timestamp and may schedule further events.
 using EventHandler = std::function<void()>;
 
-/// Observer of the engine's event lifecycle, for invariant auditing
-/// (src/audit installs one when auditing is on). Callbacks fire inline on
-/// the simulation path; implementations must not mutate the engine. With
-/// no observer installed each call site costs one null-pointer test.
+/// The engine's one instrument hook (exec::Instruments fans it out).
+/// Callbacks fire inline after the engine's state changed (pending_count()
+/// is already the live count) and must not mutate it. With no observer
+/// installed each call site costs one null-pointer test.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -65,6 +53,9 @@ class EngineObserver {
   virtual void on_scheduled(EventId id, Time now, Time when) = 0;
   /// Fired immediately before the handler runs, with the clock at `when`.
   virtual void on_executed(EventId id, Time when) = 0;
+  /// Fired when the handler of the event last passed to on_executed()
+  /// returned: the pair brackets the handler's own cost.
+  virtual void on_dispatched(EventId /*id*/) {}
   /// Fired when a pending event is successfully cancelled.
   virtual void on_cancelled(EventId id) = 0;
 };
@@ -115,22 +106,9 @@ class Engine {
   /// tombstones have been discarded yet.
   std::size_t pending_count() const { return handlers_.size(); }
 
-  /// Publish engine metrics (events scheduled / executed / cancelled and the
-  /// pending-queue high-water mark) into `metrics`; nullptr disables
-  /// publishing (the default -- the hot path then pays only a null check).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Install a lifecycle observer (nullptr disables; the default). The
+  /// Install the lifecycle observer (nullptr disables; the default). The
   /// observer must outlive the engine or be cleared before destruction.
   void set_observer(EngineObserver* observer) { observer_ = observer; }
-
-  /// Publish an event-queue-depth counter track into `timeline`; nullptr
-  /// disables (the default). Same opt-in contract as set_metrics.
-  void set_timeline(trace::TimelineRecorder* timeline);
-
-  /// Aggregate wall-clock event-dispatch cost ("sim.dispatch") into
-  /// `profiler`; nullptr disables (the default).
-  void set_profiler(trace::Profiler* profiler);
 
  private:
   Time now_ = 0.0;
@@ -144,18 +122,6 @@ class Engine {
   std::size_t tombstones_ = 0;
 
   EngineObserver* observer_ = nullptr;
-
-  // Optional metrics sinks (cached Counter/Gauge pointers: no map lookup on
-  // the hot path).
-  stats::Counter* events_scheduled_ = nullptr;
-  stats::Counter* events_executed_ = nullptr;
-  stats::Counter* events_cancelled_ = nullptr;
-  stats::Gauge* queue_depth_ = nullptr;
-
-  // Optional timeline sink (cached track id) and wall-clock profiler.
-  trace::TimelineRecorder* timeline_ = nullptr;
-  std::size_t queue_track_ = 0;
-  trace::ProfileSection* dispatch_profile_ = nullptr;
 
   void push(const EventRecord& r);
   /// Pops the next live record (discarding tombstones) or returns false.

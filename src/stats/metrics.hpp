@@ -4,13 +4,11 @@
 /// the paper's Section III characterization makes (achieved bandwidth,
 /// occupancy, contention) -- here applied to the simulator itself.
 ///
-/// Every layer of the simulator (event engine, flow solver, storage
-/// services, execution engine) publishes into one MetricsRegistry so a run
-/// can report what actually happened at runtime -- solver rounds, queue
-/// depths, resource utilization, burst-buffer occupancy -- without bespoke
-/// plumbing per experiment. The registry is strictly opt-in: layers hold a
-/// nullable pointer and publishing is a no-op until a registry is
-/// installed, so the hot paths pay nothing when metrics are off.
+/// One MetricsRegistry per run reports what actually happened at runtime
+/// -- solver rounds, queue depths, resource utilization, burst-buffer
+/// occupancy. It is strictly opt-in: exec::Instruments publishes into it
+/// from the engine, flow and storage observer hooks, and exec adds its own
+/// task counters; with metrics off no registry exists.
 ///
 /// Metric kinds:
 ///   Counter     monotonically increasing total (events executed, rounds).

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "trace/timeline.hpp"
 #include "util/error.hpp"
 
 namespace bbsim::storage {
@@ -140,37 +139,6 @@ std::vector<std::string> StorageService::file_names() const {
   return names;
 }
 
-void StorageService::set_metrics(stats::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    occupancy_gauge_ = nullptr;
-    occupancy_series_ = nullptr;
-    return;
-  }
-  const std::string base = "storage." + name() + ".occupancy_bytes";
-  occupancy_gauge_ = &metrics->gauge(base);
-  occupancy_series_ = &metrics->series(base);
-  sample_occupancy();  // establish the timeline's starting point
-}
-
-void StorageService::set_timeline(trace::TimelineRecorder* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) {
-    occupancy_track_ =
-        timeline_->counter_track("storage." + name() + ".occupancy_bytes", "bytes");
-    sample_occupancy();  // establish the track's starting point
-  }
-}
-
-void StorageService::sample_occupancy() {
-  if (occupancy_gauge_ != nullptr) {
-    occupancy_gauge_->set(used_bytes_);
-    occupancy_series_->sample(fabric_.engine().now(), used_bytes_);
-  }
-  if (timeline_ != nullptr) {
-    timeline_->counter_sample(occupancy_track_, fabric_.engine().now(), used_bytes_);
-  }
-}
-
 void StorageService::reserve_capacity(const FileRef& file) {
   BBSIM_ASSERT(file.size >= 0, "negative file size: " + file.name);
   double delta = file.size;
@@ -187,7 +155,6 @@ void StorageService::reserve_capacity(const FileRef& file) {
   if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file.name, delta, used_bytes_);
   }
-  sample_occupancy();
 }
 
 void StorageService::install_replica(const FileRef& file, std::size_t host_idx) {
@@ -214,7 +181,6 @@ void StorageService::erase_file(const std::string& file_name) {
     observer_->on_occupancy_change(*this, file_name, -size, used_bytes_);
     observer_->on_replica_erased(*this, file_name, size);
   }
-  sample_occupancy();
 }
 
 bool StorageService::readable_from(const std::string& file_name, std::size_t) const {
@@ -246,7 +212,7 @@ IoPlan StorageService::plan_read(const FileRef& file, std::size_t host_idx) cons
   plan.metadata_res = res().metadata;
   plan.rate_cap = spec_.stream_bw;
   plan.data = route_read(*rep, file, host_idx);
-  if (timeline_ != nullptr) {
+  if (labelling_) {
     plan.label =
         "read " + file.name + " " + name() + "->host" + std::to_string(host_idx);
   }
@@ -261,7 +227,7 @@ IoPlan StorageService::plan_write(const FileRef& file, std::size_t host_idx) con
   plan.metadata_res = res().metadata;
   plan.rate_cap = spec_.stream_bw;
   plan.data = route_write(file, host_idx);
-  if (timeline_ != nullptr) {
+  if (labelling_) {
     plan.label =
         "write " + file.name + " host" + std::to_string(host_idx) + "->" + name();
   }
@@ -319,7 +285,6 @@ void StorageService::abort_write_reservation(const FileRef& file) {
   if (observer_ != nullptr) {
     observer_->on_occupancy_change(*this, file.name, -delta, used_bytes_);
   }
-  sample_occupancy();
 }
 
 }  // namespace bbsim::storage

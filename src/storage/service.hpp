@@ -24,11 +24,6 @@
 #include "flow/network.hpp"
 #include "platform/fabric.hpp"
 #include "sim/engine.hpp"
-#include "stats/metrics.hpp"
-
-namespace bbsim::trace {
-class TimelineRecorder;
-}  // namespace bbsim::trace
 
 namespace bbsim::storage {
 
@@ -67,7 +62,7 @@ struct IoPlan {
   std::vector<SubFlow> data;
   double rate_cap = flow::kUnlimited;  ///< per sub-flow ceiling
   /// Timeline annotation for the plan's flows ("read f.fits pfs->host0").
-  /// Empty unless the owning service has a timeline installed.
+  /// Empty unless the owning service's observer asks for labels.
   std::string label;
 };
 
@@ -132,13 +127,16 @@ IoHandle execute_plan_cancellable(platform::Fabric& fabric, IoPlan plan, Done do
 class StorageService;
 
 /// Observer of a storage service's capacity accounting and replica
-/// lifecycle, for invariant auditing (src/audit installs one when auditing
-/// is on). Callbacks fire inline; implementations must not mutate the
-/// service. With no observer installed each call site costs one
-/// null-pointer test.
+/// lifecycle: the storage layer's one instrument hook (exec::Instruments
+/// fans it out to metrics, timeline and auditor). Callbacks fire inline;
+/// implementations must not mutate the service. With no observer installed
+/// each call site costs one null-pointer test.
 class StorageObserver {
  public:
   virtual ~StorageObserver() = default;
+  /// Whether plans should carry flow labels (IoPlan::label), read at
+  /// install. Labels cost allocations: only an observer showing them asks.
+  virtual bool wants_flow_labels() const { return false; }
   /// Occupancy changed by `delta` bytes (reservation or release);
   /// `used_after` is the service's own accounting after the change.
   virtual void on_occupancy_change(const StorageService& svc, const std::string& file,
@@ -229,21 +227,12 @@ class StorageService {
   /// Install the testbed's interference hook (nullptr to clear).
   void set_perturbation(PerturbFn fn) { perturb_ = std::move(fn); }
 
-  /// Publish storage metrics: an occupancy timeline + high-water gauge
-  /// (`storage.<name>.occupancy_bytes`) sampled at every capacity change.
-  /// nullptr disables publishing (the default).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Publish an occupancy counter track (`storage.<name>.occupancy_bytes`)
-  /// into `timeline` and start labelling plans (IoPlan::label) so the flow
-  /// layer can annotate transfer spans. nullptr disables (the default).
-  void set_timeline(trace::TimelineRecorder* timeline);
-  /// True when plans should carry labels (a timeline is installed).
-  bool labelling() const { return timeline_ != nullptr; }
-
-  /// Install a capacity/replica lifecycle observer (nullptr disables; the
+  /// Install the capacity/replica lifecycle observer (nullptr disables; the
   /// default). The observer must outlive the service or be cleared first.
-  void set_observer(StorageObserver* observer) { observer_ = observer; }
+  void set_observer(StorageObserver* observer) {
+    observer_ = observer;
+    labelling_ = observer != nullptr && observer->wants_flow_labels();
+  }
 
   /// Bookkeeping for a write planned via plan_write() but executed
   /// externally (fused transfers): begin_external_write reserves capacity
@@ -283,10 +272,7 @@ class StorageService {
   double peak_used_bytes_ = 0.0;
   PerturbFn perturb_;
   StorageObserver* observer_ = nullptr;
-  stats::Gauge* occupancy_gauge_ = nullptr;
-  stats::TimeSeries* occupancy_series_ = nullptr;
-  trace::TimelineRecorder* timeline_ = nullptr;
-  std::size_t occupancy_track_ = 0;
+  bool labelling_ = false;  ///< plans carry flow labels
 
   /// Create/replace the replica record for `file` and notify the observer.
   void install_replica(const FileRef& file, std::size_t host_idx);
@@ -294,8 +280,6 @@ class StorageService {
   void apply_perturbation(IoPlan& plan, const FileRef& file, bool is_write,
                           std::size_t host_idx) const;
   void reserve_capacity(const FileRef& file);
-  /// Record `used_bytes_` into the occupancy metrics (no-op when disabled).
-  void sample_occupancy();
 };
 
 }  // namespace bbsim::storage

@@ -58,13 +58,7 @@ class StorageSystem {
   /// Install the same perturbation hook on every service (testbed).
   void set_perturbation(const PerturbFn& fn);
 
-  /// Install the same metrics registry on every service (nullptr disables).
-  void set_metrics(stats::MetricsRegistry* metrics);
-
-  /// Install the same timeline recorder on every service (nullptr disables).
-  void set_timeline(trace::TimelineRecorder* timeline);
-
-  /// Install the same audit observer on every service (nullptr disables).
+  /// Install the same observer on every service (nullptr disables).
   void set_observer(StorageObserver* observer);
 
  private:

@@ -29,11 +29,17 @@ struct ProfileSection {
   std::uint64_t calls = 0;
   double total_seconds = 0.0;
   double max_seconds = 0.0;
+  std::chrono::steady_clock::time_point started{};  ///< of the open call
 
   void record(double seconds) {
     ++calls;
     total_seconds += seconds;
     if (seconds > max_seconds) max_seconds = seconds;
+  }
+  /// Bracket one (non-nested) call of the region: begin() ... end().
+  void begin() { started = std::chrono::steady_clock::now(); }
+  void end() {
+    record(std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count());
   }
 };
 
@@ -76,19 +82,16 @@ class Profiler {
 class ScopedTimer {
  public:
   explicit ScopedTimer(ProfileSection* section) : section_(section) {
-    if (section_ != nullptr) start_ = std::chrono::steady_clock::now();
+    if (section_ != nullptr) section_->begin();
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
   ~ScopedTimer() {
-    if (section_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    section_->record(std::chrono::duration<double>(elapsed).count());
+    if (section_ != nullptr) section_->end();
   }
 
  private:
   ProfileSection* section_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace bbsim::trace

@@ -4,18 +4,16 @@
 /// Section III characterization is drawn from (per-phase task timings,
 /// achieved storage bandwidth over time, burst-buffer occupancy).
 ///
-/// Every layer of the simulator publishes into one TimelineRecorder
-/// (opt-in, null-pointer no-op exactly like stats::MetricsRegistry -- the
-/// hot paths pay a pointer null-check when tracing is off):
+/// One opt-in TimelineRecorder per run records (exec::Instruments feeds
+/// it from the engine, flow and storage observer hooks):
 ///
-///   exec::Simulation   one task span per executed task, split into
-///                      read / compute / write phases (from TaskRecord);
-///   flow::FlowManager  one span per flow (file transfer or metadata
-///                      burst) carrying its label, byte volume and every
-///                      change of its max-min allocated bandwidth;
-///   storage / sim      counter tracks: BB occupancy, per-storage achieved
-///                      bandwidth (the time-resolved Figure 9), event-queue
-///                      depth.
+///   task spans     one per executed task, split into read / compute /
+///                  write phases (from TaskRecord, added by exec);
+///   flow spans     one per flow (file transfer or metadata burst) with its
+///                  label, byte volume and every change of its max-min
+///                  allocated bandwidth;
+///   counter tracks BB occupancy, per-storage achieved bandwidth (the
+///                  time-resolved Figure 9), event-queue depth.
 ///
 /// The finished Timeline exports Chrome/Perfetto trace-event JSON
 /// (Timeline::to_perfetto) that loads directly in https://ui.perfetto.dev

@@ -51,19 +51,24 @@ std::string to_lower(std::string text) {
   return text;
 }
 
-std::string format(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
+std::string vformat(const char* fmt, va_list args) {
   va_list args2;
   va_copy(args2, args);
   const int n = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
   std::string out;
   if (n > 0) {
     out.resize(static_cast<std::size_t>(n));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
   }
   va_end(args2);
+  return out;
+}
+
+std::string format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  std::string out = vformat(fmt, args);
+  va_end(args);
   return out;
 }
 

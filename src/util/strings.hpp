@@ -1,6 +1,7 @@
 // bbsim -- small string helpers shared across subsystems.
 #pragma once
 
+#include <cstdarg>
 #include <string>
 #include <vector>
 
@@ -26,5 +27,7 @@ std::string to_lower(std::string text);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+/// format() over an already started argument list.
+std::string vformat(const char* fmt, va_list args) __attribute__((format(printf, 1, 0)));
 
 }  // namespace bbsim::util

@@ -1,6 +1,9 @@
 #include "workflow/wfformat.hpp"
 
+#include <limits>
+
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bbsim::wf {
 
@@ -16,11 +19,22 @@ double flops_from_runtime(double runtime, double cores, double io_fraction,
   return cores * (1.0 - io_fraction) * runtime * core_speed;
 }
 
+/// Task `task`'s core count from `field`: past the int range a cast would
+/// wrap or be undefined, so that is a ParseError naming both.
+int checked_cores(double cores, const std::string& task, const char* field) {
+  if (!(cores >= std::numeric_limits<int>::min() && cores <= std::numeric_limits<int>::max())) {
+    throw ParseError("task '" + task + "': " + field + " " + util::format("%.17g", cores) +
+                     " is outside the int range");
+  }
+  return static_cast<int>(cores);
+}
+
 void parse_legacy_job(Workflow& w, const Value& job, const WfFormatOptions& opt) {
   Task t;
   t.name = job.get_string("name", job.get_string("id", ""));
   if (t.name.empty()) throw ParseError("job without name/id");
   t.type = job.get_string("category", job.get_string("type", "compute"));
+  checked_cores(job.get_number("cores", 1.0), t.name, "cores");  // before get_int rounds
   t.requested_cores = static_cast<int>(job.get_int("cores", 1));
   t.alpha = job.get_number("alpha", 0.0);
   const double io_fraction = job.get_number("ioFraction", opt.default_io_fraction);
@@ -106,7 +120,7 @@ Workflow parse_modern(const Value& doc, const Value& wf_node, const WfFormatOpti
       cores = it->second->get_number("coreCount", cores);
       io_fraction = it->second->get_number("ioFraction", io_fraction);
     }
-    t.requested_cores = std::max(1, static_cast<int>(cores));
+    t.requested_cores = std::max(1, checked_cores(cores, t.name, "coreCount"));
     if (tv.contains("flops")) {
       t.flops = tv.at("flops").as_number();
     } else {

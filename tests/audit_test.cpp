@@ -320,14 +320,27 @@ TEST(FlowAudit, StaleAllocationUnderGrownCapacityIsNotMaxMin) {
 }
 
 TEST(FlowAudit, PostSolveHookFiresOnEverySolve) {
+  // The auditor certifies allocations from the flow observer's on_solved(),
+  // so that call must bracket every solve with on_solve_begin().
+  struct SolveCounter final : flow::FlowObserver {
+    int begun = 0;
+    int solved = 0;
+    void on_flow_begin(flow::FlowId, double, const flow::FlowSpec&, std::size_t) override {}
+    void on_flow_end(flow::FlowId, double, double, bool, std::size_t) override {}
+    void on_settle_begin() override {}
+    void on_settled(const flow::Network&, double, double, std::span<const double>) override {}
+    void on_solve_begin() override { ++begun; }
+    void on_solved(const flow::Network&, int, std::size_t) override { ++solved; }
+  };
   flow::Network net;
   const flow::ResourceId r = net.add_resource("disk", 100.0);
-  int calls = 0;
-  net.set_post_solve_hook([&calls](const flow::Network&, int) { ++calls; });
+  SolveCounter counter;
+  net.set_observer(&counter);
   net.add_flow({1000.0, {r}, flow::kUnlimited, 1.0});
   net.solve();
   net.solve();
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(counter.begun, 2);
+  EXPECT_EQ(counter.solved, 2);
 }
 
 // ------------------------------------------------------ post-run auditing

@@ -1,6 +1,9 @@
 // Unit tests for the command-line option parser and resolvers.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "cli/options.hpp"
 #include "cli/runner.hpp"
 #include "util/error.hpp"
@@ -117,6 +120,23 @@ TEST(CliResolve, WorkflowGenerators) {
   EXPECT_EQ(resolve_workflow(opt).task_count(), 42u);
   opt.workflow = "/nonexistent.json";
   EXPECT_THROW(resolve_workflow(opt), util::ParseError);
+}
+
+TEST(CliResolve, DeeplyNestedPlatformFileIsATypedError) {
+  // 200,000 open arrays used to overflow the parser's stack (SIGSEGV).
+  const std::string path = ::testing::TempDir() + "/bbsim_deep_platform.json";
+  std::ofstream(path) << std::string(200000, '[');
+  CliOptions opt;
+  opt.platform = path;
+  try {
+    (void)resolve_platform(opt);
+    FAIL() << "a platform nested 200,000 deep must not load";
+  } catch (const util::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("deeper than"), std::string::npos) << e.what();
+  }
+  const char* argv[] = {"bbsim_run", "--platform", path.c_str(), "--workflow", "swarp",
+                        "--quiet"};
+  EXPECT_EQ(main_impl(6, argv), 1);
 }
 
 TEST(CliResolve, CoresOverrideAppliesToSwarp) {

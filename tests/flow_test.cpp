@@ -9,8 +9,15 @@
 #include <string>
 #include <vector>
 
+#include "exec/engine.hpp"
+#include "exec/instruments.hpp"
 #include "flow/manager.hpp"
 #include "flow/network.hpp"
+#include "platform/fabric.hpp"
+#include "platform/presets.hpp"
+#include "stats/metrics.hpp"
+#include "storage/system.hpp"
+#include "workflow/workflow.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -772,19 +779,26 @@ TEST(IncrementalSolve, SetCapacityRedirtiesItsComponent) {
 }
 
 TEST(IncrementalSolve, ResolvedFlowCounterCountsOnlyTheDirtyComponent) {
-  stats::MetricsRegistry metrics;
+  // The counter is published by the flow layer's observer,
+  // exec::Instruments, from the closure size each solve reports.
+  platform::Fabric fabric(platform::cori_platform({}));
+  storage::StorageSystem storage(fabric);
+  exec::ExecutionConfig config;
+  config.collect_metrics = true;
+  exec::Instruments instruments(config, storage, wf::Workflow{});
+  const stats::MetricsRegistry& metrics = *instruments.metrics();
   Network net;
-  net.set_metrics(&metrics);
+  net.set_observer(&instruments);
   const ResourceId a = net.add_resource("a", 100.0);
   const ResourceId b = net.add_resource("b", 60.0);
   net.add_flow({1.0, {a}});
   const FlowId f2 = net.add_flow({1.0, {a}});
   net.add_flow({1.0, {b}});
   net.solve();  // first solve is always full: 3 flows
-  EXPECT_DOUBLE_EQ(metrics.counter("flow.solve_flows_resolved").value(), 3.0);
+  EXPECT_DOUBLE_EQ(metrics.find_counter("flow.solve_flows_resolved")->value(), 3.0);
   net.remove_flow(f2);
   net.solve();  // only component {a} re-solves: 1 remaining flow
-  EXPECT_DOUBLE_EQ(metrics.counter("flow.solve_flows_resolved").value(), 4.0);
+  EXPECT_DOUBLE_EQ(metrics.find_counter("flow.solve_flows_resolved")->value(), 4.0);
 }
 
 TEST(IncrementalSolve, FullModeMatchesIncrementalOnSharedBottleneck) {

@@ -21,6 +21,8 @@
 #include "exec/engine.hpp"
 #include "platform/presets.hpp"
 #include "testbed/testbed.hpp"
+#include "trace/profiler.hpp"
+#include "trace/timeline.hpp"
 #include "util/rng.hpp"
 #include "workflow/genomes.hpp"
 #include "workflow/random_dag.hpp"
@@ -162,6 +164,118 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(case_info.param.platform) + "_seed" +
              std::to_string(case_info.param.seed);
     });
+
+// Instrument pins: metrics, timeline, audit and critical path all on (the
+// profiler off: its times are wall-clock). The report hash covers the
+// metrics, audit and critpath sections, the Perfetto hash every track and
+// span, so a change to what any instrument records, or under which name,
+// moves one of them. Three runs: SWarp on Cori's shared burst buffer, a
+// fault-injected 1000Genomes run (hosts-down track, checkpoints) and a
+// flow-heavy toy scale DAG.
+exec::ExecutionConfig all_instruments(exec::ExecutionConfig cfg) {
+  cfg.collect_metrics = true;
+  cfg.collect_timeline = true;
+  cfg.audit = true;
+  cfg.critpath = true;
+  return cfg;
+}
+
+struct InstrumentedRun {
+  std::uint64_t report_fnv = 0;
+  std::uint64_t perfetto_fnv = 0;
+  double makespan = 0.0;
+};
+
+InstrumentedRun run_instrumented(const platform::PlatformSpec& platform,
+                                 const wf::Workflow& workflow,
+                                 const exec::ExecutionConfig& cfg) {
+  exec::Simulation sim(platform, workflow, cfg);
+  const exec::Result result = sim.run();
+  EXPECT_EQ(result.audit_violations, 0u);
+  EXPECT_NE(result.timeline, nullptr);
+  if (result.timeline == nullptr) return {};
+  return {fnv1a(result.to_json().dump()), fnv1a(result.timeline->to_perfetto().dump()),
+          result.makespan};
+}
+
+cli::CliOptions genomes_fault_options() {
+  cli::CliOptions opt;
+  opt.platform = "summit";
+  opt.workflow = "genomes";
+  opt.chromosomes = 1;
+  opt.nodes = 2;
+  opt.faults = "node_mtbf=150,node_repair=20,horizon=2000,seed=1";
+  opt.checkpoint = "interval=60,fraction=0.2";
+  return opt;
+}
+
+TEST(GoldenInstruments, SwarpSharedBBBitwise) {
+  cli::CliOptions opt;
+  opt.pipelines = 2;
+  exec::ExecutionConfig cfg;
+  cfg.placement = cli::make_policy(opt.policy);
+  const InstrumentedRun run =
+      run_instrumented(cli::resolve_platform(opt), cli::resolve_workflow(opt),
+                       all_instruments(cfg));
+  EXPECT_EQ(run.makespan, 96.187191040000002);
+  EXPECT_EQ(run.report_fnv, 14013100499038523767ULL);
+  EXPECT_EQ(run.perfetto_fnv, 7613150453302677634ULL);
+}
+
+TEST(GoldenInstruments, MetricsAloneSwarpBitwise) {
+  // Metrics without a timeline, the combination the benchmark's traced
+  // pass uses, pinned on its own: the occupancy series' starting samples
+  // depend on which instruments are on.
+  cli::CliOptions opt;
+  opt.pipelines = 2;
+  exec::ExecutionConfig cfg;
+  cfg.placement = cli::make_policy(opt.policy);
+  cfg.collect_metrics = true;
+  exec::Simulation sim(cli::resolve_platform(opt), cli::resolve_workflow(opt), cfg);
+  EXPECT_EQ(fnv1a(sim.run().to_json().dump()), 14027823095188299618ULL);
+}
+
+TEST(GoldenInstruments, GenomesUnderNodeCrashesBitwise) {
+  const cli::CliOptions opt = genomes_fault_options();
+  const InstrumentedRun run =
+      run_instrumented(cli::resolve_platform(opt), cli::resolve_workflow(opt),
+                       all_instruments(cli::execution_config(opt)));
+  EXPECT_EQ(run.makespan, 625.67845999193378);
+  EXPECT_EQ(run.report_fnv, 3977639958918228649ULL);
+  EXPECT_EQ(run.perfetto_fnv, 506050065806180640ULL);
+}
+
+TEST(GoldenInstruments, ToyScaleDagBitwise) {
+  util::Rng rng(1);
+  wf::ScaleDagConfig config;
+  config.task_count = 1024;
+  config.width = 64;
+  platform::PresetOptions options;
+  options.compute_nodes = 128;
+  const InstrumentedRun run =
+      run_instrumented(platform::summit_platform(options), wf::make_scale_dag(config, rng),
+                       all_instruments({}));
+  EXPECT_EQ(run.makespan, 410.60594246898694);
+  EXPECT_EQ(run.report_fnv, 15992140275770216348ULL);
+  EXPECT_EQ(run.perfetto_fnv, 16098214796416387095ULL);
+}
+
+TEST(GoldenInstruments, ProfileSectionNamesAndCallCounts) {
+  // Wall-clock times differ run to run; which regions were timed, and how
+  // often, does not.
+  const cli::CliOptions opt = genomes_fault_options();
+  exec::ExecutionConfig cfg = all_instruments(cli::execution_config(opt));
+  cfg.profile = true;
+  exec::Simulation sim(cli::resolve_platform(opt), cli::resolve_workflow(opt), cfg);
+  (void)sim.run();
+  ASSERT_NE(sim.profiler(), nullptr);
+  std::string sections;
+  for (const auto& section : sim.profiler()->sections()) {
+    sections += section->name + "=" + std::to_string(section->calls) + " ";
+  }
+  EXPECT_EQ(sections,
+            "sim.dispatch=872 flow.solve=941 flow.settle=291 exec.placement=73 critpath=1 ");
+}
 
 TEST(Golden, TestbedNoiselessSwarpIsStable) {
   // The noiseless emulator is deterministic end to end.

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/options.hpp"
 #include "cli/runner.hpp"
@@ -74,6 +76,25 @@ TEST(WfFormatHardening, WrongShapeThrowsTypedError) {
   // Structurally valid JSON that is not a WfFormat document.
   for (const char* doc : {"[1, 2, 3]", R"({"tasks": "nope"})", R"({"workflow": 5})"}) {
     EXPECT_THROW(wf::from_wfformat(json::parse(doc)), util::Error) << doc;
+  }
+}
+
+TEST(WfFormatHardening, CoresPastIntRangeNameTheTaskAndField) {
+  // Both formats narrowed these to int with a cast.
+  const char* legacy =
+      R"({"workflow": {"jobs": [{"name": "big", "cores": 3000000000, "runtime": 1}]}})";
+  const char* modern = R"({"workflow": {
+      "specification": {"tasks": [{"id": "big"}]},
+      "execution": {"tasks": [{"id": "big", "coreCount": 3e9, "runtimeInSeconds": 1}]}}})";
+  for (const auto& [doc, field] : {std::pair{legacy, "cores"}, std::pair{modern, "coreCount"}}) {
+    try {
+      (void)wf::from_wfformat(json::parse(doc));
+      ADD_FAILURE() << field << " 3e9 must not load";
+    } catch (const util::ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("task 'big'"), std::string::npos) << what;
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
   }
 }
 
@@ -158,6 +179,42 @@ TEST(CliHardening, OutOfRangeValuesAreRejected) {
   EXPECT_THROW(cli::parse_cli({"--nodes", "0"}), util::ConfigError);
   EXPECT_THROW(cli::parse_cli({"--reps", "0"}), util::ConfigError);
   EXPECT_THROW(cli::parse_cli({"--stage-width", "0"}), util::ConfigError);
+}
+
+/// The message of the ConfigError `parse_cli(args)` throws ("" if none).
+std::string cli_error(const std::vector<std::string>& args) {
+  try {
+    (void)cli::parse_cli(args);
+  } catch (const util::ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliHardening, CoresBelowOneAreRejected) {
+  // 0 and negative counts were ignored: the run used the workflow's cores.
+  EXPECT_NE(cli_error({"--cores", "0"}).find("--cores"), std::string::npos);
+  EXPECT_NE(cli_error({"--cores", "-3"}).find("--cores"), std::string::npos);
+  EXPECT_EQ(cli::parse_cli({"--cores", "4"}).cores, 4);
+}
+
+TEST(CliHardening, NonIntegerValueNamesTheFlag) {
+  EXPECT_NE(cli_error({"--nodes", "abc"}).find("--nodes"), std::string::npos);
+  EXPECT_NE(cli_error({"--pipelines", "2x"}).find("--pipelines"), std::string::npos);
+  EXPECT_NE(cli_error({"--reps", "99999999999"}).find("--reps"), std::string::npos);
+  EXPECT_NE(cli_error({"--seed", "abc"}).find("--seed"), std::string::npos);
+}
+
+TEST(CliHardening, PolicyFractionNanIsRejected) {
+  // NaN passed the [0, 1] range test and ran.
+  EXPECT_NE(cli_error({"--policy", "fraction:nan"}).find("fraction:nan"), std::string::npos);
+}
+
+TEST(CliHardening, PolicyFractionNotANumberNamesThePolicy) {
+  // Used to surface as a bare "stod".
+  const std::string what = cli_error({"--policy", "fraction:abc"});
+  EXPECT_NE(what.find("fraction:abc"), std::string::npos) << what;
+  EXPECT_EQ(what.find("stod"), std::string::npos) << what;
 }
 
 TEST(CliHardening, MainImplExitsNonZeroOnBadFlags) {

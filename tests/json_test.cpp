@@ -184,6 +184,21 @@ TEST(JsonEdge, DeepNestingRoundTrips) {
   EXPECT_DOUBLE_EQ(v.as_number(), 42.0);
 }
 
+TEST(JsonEdge, NestingPastTheLimitThrowsParseErrorWithPosition) {
+  // Exactly kMaxDepth levels parse; one more fails with the limit and the
+  // position of the first container past it, not a stack overflow.
+  const std::string at_limit = std::string(kMaxDepth, '[') + std::string(kMaxDepth, ']');
+  EXPECT_NO_THROW(parse(at_limit));
+  try {
+    parse(std::string(200000, '['));
+    FAIL() << "200,000 nested arrays must not parse";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nesting deeper than 512"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 1, column 513"), std::string::npos) << what;
+  }
+}
+
 TEST(JsonEdge, NumberPrecisionSurvivesRoundTrip) {
   for (const double x : {1e-300, 1e300, 0.1, 1.0 / 3.0, 6.5e9, 36.80e9}) {
     EXPECT_DOUBLE_EQ(parse(Value(x).dump()).as_number(), x) << x;

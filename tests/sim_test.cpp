@@ -6,8 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "exec/engine.hpp"
+#include "exec/instruments.hpp"
+#include "platform/fabric.hpp"
+#include "platform/presets.hpp"
 #include "sim/engine.hpp"
 #include "stats/metrics.hpp"
+#include "storage/system.hpp"
 #include "util/error.hpp"
 
 namespace bbsim::sim {
@@ -196,27 +201,33 @@ TEST(Engine, NaNTimeErrorNamesNaN) {
 
 TEST(Engine, QueueDepthMetricIsLiveCountAfterCancelBursts) {
   // Tombstones sit in the queue until popped or compacted; the queue-depth
-  // gauge and pending_count() must report the live count anyway.
-  stats::MetricsRegistry metrics;
-  Engine e;
-  e.set_metrics(&metrics);
+  // gauge and pending_count() must report the live count anyway. The
+  // gauge is published by the engine's observer, exec::Instruments.
+  platform::Fabric fabric(platform::cori_platform({}));
+  storage::StorageSystem storage(fabric);
+  exec::ExecutionConfig config;
+  config.collect_metrics = true;
+  exec::Instruments instruments(config, storage, wf::Workflow{});
+  Engine& e = fabric.engine();
+  e.set_observer(&instruments);
+  const stats::MetricsRegistry& metrics = *instruments.metrics();
   std::vector<EventId> ids;
   for (int i = 0; i < 200; ++i) {
     ids.push_back(e.schedule_at(static_cast<double>(i) + 1.0, [] {}));
   }
   for (int i = 0; i < 200; i += 2) e.cancel(ids[static_cast<std::size_t>(i)]);
   EXPECT_EQ(e.pending_count(), 100u);
-  EXPECT_DOUBLE_EQ(metrics.gauge("sim.queue_depth").value(), 100.0);
+  EXPECT_DOUBLE_EQ(metrics.find_gauge("sim.queue_depth")->value(), 100.0);
   // Executing events keeps the gauge in sync too (it used to be updated
   // only by schedule_at).
   e.step();
   EXPECT_EQ(e.pending_count(), 99u);
-  EXPECT_DOUBLE_EQ(metrics.gauge("sim.queue_depth").value(), 99.0);
+  EXPECT_DOUBLE_EQ(metrics.find_gauge("sim.queue_depth")->value(), 99.0);
   e.run();
   EXPECT_EQ(e.pending_count(), 0u);
-  EXPECT_DOUBLE_EQ(metrics.gauge("sim.queue_depth").value(), 0.0);
-  EXPECT_DOUBLE_EQ(metrics.counter("sim.events_executed").value(), 100.0);
-  EXPECT_DOUBLE_EQ(metrics.counter("sim.events_cancelled").value(), 100.0);
+  EXPECT_DOUBLE_EQ(metrics.find_gauge("sim.queue_depth")->value(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics.find_counter("sim.events_executed")->value(), 100.0);
+  EXPECT_DOUBLE_EQ(metrics.find_counter("sim.events_cancelled")->value(), 100.0);
 }
 
 TEST(Engine, CancelHeavyChurnExecutesSurvivorsInOrder) {

@@ -31,7 +31,8 @@ bbsim.bench.critpath.v1 (BENCH_critpath.json)
       recorder, i.e. the layer costs nothing when off.
     - `attribution_exact` must be true: path length, blame sum, and the
       baseline what-if replay all reproduce the makespan within 1e-9.
-    - `overhead_ratio` (enabled wall / disabled wall) must stay at or
+    - `overhead_ratio` (enabled / disabled wall, the median over
+      interleaved pairs) must stay at or
       below 1 + --critpath-overhead (default 0.05).
   Baseline tiers are reported for context only.
 
